@@ -1,50 +1,29 @@
-"""Checkpoint journal for experiment grids.
+"""JSONL append logs: one storage primitive, two record schemas.
 
-``run_grid`` appends one JSONL record per *completed* grid point:
+:class:`AppendLog` alone decides how a log is stored: a header line,
+then one JSON object per line.
 
-.. code-block:: text
+* **Append** — whole lines at EOF under a process-global per-path
+  lock, flushed (fsync'd if the schema wants durability) on return, so
+  instances and threads sharing a path never interleave.
+* **Open** — ``resume=False`` truncates; ``resume=True`` keeps every
+  complete record, truncates a *torn tail* (a final line with no
+  newline or that no longer parses: a crash mid-append) so the next
+  append starts on a line boundary, and skips-and-counts a corrupt
+  *interior* line instead of cutting the good records after it.
+* **Read** — :meth:`AppendLog.read_records` changes no byte: safe on a
+  log another process is appending to.
+* **Compact** — under the path lock: re-scan the disk, fold, write the
+  survivors aside, fsync, ``os.replace`` over the live path, fsync the
+  directory, bump the path's *rotation epoch*.  A crash leaves the old
+  log or the new one, never a mix; other instances see the epoch move
+  and reopen their handle before their next append.
 
-    {"kind": "header", "version": 1}
-    {"grid": "<hash>", "i": 3, "key": "<point key>", "r": {...SimResult...}}
-
-Points are keyed by ``(grid content hash, index)`` plus the point's own
-content key, so one journal file can hold many grids (a figure suite
-issues many ``run_grid`` calls) and a record is only ever replayed into
-the exact grid slot it came from.  Floats round-trip through JSON via
-``repr`` — shortest-roundtrip — so a replayed :class:`SimResult` is
-bitwise identical to the computed one.
-
-Failures are *not* journaled: a resumed sweep retries them.
-
-Opening a journal with ``resume=False`` truncates it (a fresh sweep);
-``resume=True`` loads every valid record and replays matches, which is
-what ``python -m repro.bench --journal PATH --resume`` does.  Corrupt
-lines — a truncated tail (the crash that motivated the resume), a
-record missing its index, or a result payload missing SimResult
-fields — are skipped, never fatal: a skipped point is simply
-recomputed.
-
-Concurrent writers: one :class:`GridJournal` instance serializes its
-own appends under an instance lock, and *all* instances targeting the
-same path additionally share a process-global per-path lock — the
-serve layer and a journaled ``run_grid`` can checkpoint into one file
-from different threads without interleaving partial JSONL lines.  The
-write handle is always opened in append mode (``resume=False``
-truncates explicitly first), so even two handles never overwrite each
-other's records mid-file.
-
-Crash safety: both journals recover from a *torn tail* — the final
-record of a file interrupted mid-write (no newline, or a final line
-that no longer parses) is truncated away on load, so the next append
-starts at a clean line boundary instead of corrupting the record after
-the tear.  :class:`WALJournal` generalizes the storage discipline into
-a write-ahead log for arbitrary records: ``commit`` is durable (flush
-+ fsync) before it returns, and ``rotate`` atomically replaces the log
-with a compacted snapshot (write aside, fsync the file, rename over,
-fsync the directory) — a crash at any instant leaves either the old
-complete log or the new complete log, never a mix.  The serve layer's
-shard supervisor leases jobs through a ``WALJournal``
-(``docs/resilience.md``, "The write-ahead log").
+A record schema adds an in-memory index, one ``fold(records)`` used by
+both open and compaction, and counters: :class:`GridJournal` and
+:class:`WALJournal` here, :class:`repro.serve.memo.MemoStore` in serve.
+The canonical content-key encoders the journal and the memo key on
+(:func:`canonical_number`, :func:`canonical_fragment`) live here too.
 """
 
 from __future__ import annotations
@@ -55,7 +34,7 @@ import json
 import numbers
 import os
 import threading
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..machine.simulator import SimResult
 
@@ -66,48 +45,10 @@ __all__ = [
     "grid_hash",
     "sim_result_to_dict",
     "sim_result_from_dict",
+    "AppendLog",
     "GridJournal",
     "WALJournal",
 ]
-
-_VERSION = 1
-_WAL_VERSION = 1
-
-#: Process-global per-path write locks: every GridJournal instance on
-#: the same (real) path shares one lock, so two instances appending to
-#: one file cannot interleave partial lines.
-_PATH_LOCKS: dict[str, threading.Lock] = {}
-#: Process-global per-path rotation epochs: ``rotate()`` bumps the
-#: epoch after ``os.replace`` swaps the inode under the live path, and
-#: every instance revalidates its append handle against it before the
-#: next write — a handle opened before someone else's rotation would
-#: otherwise keep appending to the unlinked old inode, silently losing
-#: every record it writes.
-_PATH_EPOCHS: dict[str, int] = {}
-_PATH_LOCKS_GUARD = threading.Lock()
-
-
-def _path_key(path: str) -> str:
-    return os.path.realpath(path)
-
-
-def _path_lock(path: str) -> threading.Lock:
-    with _PATH_LOCKS_GUARD:
-        return _PATH_LOCKS.setdefault(_path_key(path), threading.Lock())
-
-
-def _path_epoch(path: str) -> int:
-    """The path's current rotation epoch (0 = never rotated)."""
-    with _PATH_LOCKS_GUARD:
-        return _PATH_EPOCHS.get(_path_key(path), 0)
-
-
-def _bump_path_epoch(path: str) -> int:
-    """Advance the rotation epoch; call while holding the path lock."""
-    with _PATH_LOCKS_GUARD:
-        key = _path_key(path)
-        _PATH_EPOCHS[key] = _PATH_EPOCHS.get(key, 0) + 1
-        return _PATH_EPOCHS[key]
 
 
 # ------------------------------------------------------------- canonical keys
@@ -197,6 +138,33 @@ def canonical_fragment(obj) -> str:
     )
 
 
+# ------------------------------------------------------------- the append log
+class _PathState:
+    """What every :class:`AppendLog` on one real path shares: the write
+    lock and the rotation epoch (read and bumped under that lock)."""
+
+    __slots__ = ("lock", "epoch")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.epoch = 0
+
+
+_PATHS: dict[str, _PathState] = {}
+_PATHS_GUARD = threading.Lock()
+
+
+def _path_state(path: str) -> _PathState:
+    key = os.path.realpath(path)
+    with _PATHS_GUARD:
+        return _PATHS.setdefault(key, _PathState())
+
+
+def _path_lock(path: str) -> threading.Lock:
+    """The process-global write lock of ``path`` (one per real path)."""
+    return _path_state(path).lock
+
+
 def _fsync_dir(path: str) -> None:
     """fsync the directory entry so a completed rename survives a crash."""
     dirname = os.path.dirname(os.path.abspath(path)) or "."
@@ -212,21 +180,12 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _recover_jsonl(path: str) -> tuple[list[dict], int, int]:
-    """Scan a JSONL file, distinguishing a torn tail from interior rot.
+def _scan(path: str) -> tuple[list[dict], int, int, int]:
+    """``(records, keep_bytes, size, skipped)`` of one JSONL file.
 
-    Returns ``(records, keep_bytes, skipped)``: every parseable record
-    in file order; the byte offset the file should be truncated to so
-    that it ends at a clean record boundary; and how many
-    complete-but-corrupt *interior* lines were skipped.
-
-    A *torn tail* — the signature of a crash mid-append: a final line
-    with no terminating newline, or a terminated final line that no
-    longer parses as a JSON object — is excluded from ``keep_bytes``,
-    so truncating to it drops exactly the interrupted record.  A
-    corrupt line in the middle of the file is not torn (every record
-    after it is intact), so it is skipped and counted instead of
-    truncated, which would discard good data.
+    ``records`` is every parseable object line in file order;
+    ``keep_bytes`` the offset the file ends cleanly at (``< size`` iff
+    the tail is torn); ``skipped`` the corrupt interior lines.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -235,14 +194,7 @@ def _recover_jsonl(path: str) -> tuple[list[dict], int, int]:
     keep = len(data)
     skipped = 0
     pos = 0
-    last = len(lines) - 1
-    for idx, raw in enumerate(lines):
-        if idx == last:
-            # The remainder past the final newline: empty means the file
-            # ends cleanly; anything else is an unterminated torn tail.
-            if raw:
-                keep = pos
-            break
+    for raw in lines[:-1]:
         end = pos + len(raw) + 1
         stripped = raw.strip()
         if stripped:
@@ -257,15 +209,126 @@ def _recover_jsonl(path: str) -> tuple[list[dict], int, int]:
             else:
                 skipped += 1
         pos = end
-    return records, keep, skipped
+    if lines[-1]:
+        keep = pos  # bytes past the final newline: an unterminated tail
+    return records, keep, len(data), skipped
 
 
-def _truncate_to(path: str, keep: int) -> None:
-    """Durably truncate ``path`` to ``keep`` bytes (torn-tail removal)."""
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)
-        fh.flush()
-        os.fsync(fh.fileno())
+class AppendLog:
+    """One JSONL log file (see the module docstring for the discipline).
+
+    ``header``, ``sort_keys`` and ``fsync`` are the record schema's
+    choices; records whose ``kind`` is the header's never reach a fold.
+    """
+
+    def __init__(
+        self, path: str, header: dict, *, resume: bool, sort_keys: bool,
+        fsync: bool,
+    ):
+        self.path = str(path)
+        self.header = header
+        self.sort_keys = sort_keys
+        self.fsync = fsync
+        #: Lines this instance appended (the header it wrote included).
+        self.appended = 0
+        #: Bytes of torn tail dropped at open (0 = clean file).
+        self.recovered_bytes = 0
+        #: Complete-but-corrupt interior lines skipped at open.
+        self.skipped_records = 0
+        self._recovered: list[dict] = []
+        self._shared = _path_state(self.path)
+        with self._shared.lock:
+            if resume and os.path.exists(self.path):
+                records, keep, size, self.skipped_records = _scan(self.path)
+                if keep < size:
+                    with open(self.path, "r+b") as fh:
+                        fh.truncate(keep)
+                        fh.flush()
+                        os.fsync(fh.fileno())
+                    self.recovered_bytes = size - keep
+                self._recovered = self._body(records)
+            else:
+                open(self.path, "w", encoding="utf-8").close()
+            self._fh = open(self.path, "a", encoding="utf-8")
+            #: Rotation epoch this instance's handle is valid for.
+            self.epoch = self._shared.epoch
+            if os.path.getsize(self.path) == 0:
+                self._append_line(self._line(header))
+
+    def _line(self, record: dict) -> str:
+        return json.dumps(record, sort_keys=self.sort_keys) + "\n"
+
+    def _body(self, records: list[dict]) -> list[dict]:
+        kind = self.header["kind"]
+        return [r for r in records if r.get("kind") != kind]
+
+    def _reopen(self) -> None:
+        """Point the handle at the live inode; path lock held."""
+        self._fh.close()
+        self._fh = open(self.path, "a", encoding="utf-8")
+        self.epoch = self._shared.epoch
+
+    def _append_line(self, line: str) -> None:
+        """Write one line at EOF; call while holding the path lock."""
+        if self._shared.epoch != self.epoch:
+            # Another instance compacted the path: this handle points
+            # at the unlinked old inode, where appends vanish.
+            self._reopen()
+        self._fh.write(line)
+        self._fh.flush()
+        if self.fsync:
+            os.fsync(self._fh.fileno())
+        self.appended += 1
+
+    def take_recovered(self) -> list[dict]:
+        """The records found at open, handed to the schema's fold once."""
+        records, self._recovered = self._recovered, []
+        return records
+
+    def append(self, record: dict) -> None:
+        """Append one record; flushed (and fsync'd, if the schema says so)
+        when this returns."""
+        line = self._line(record)
+        with self._shared.lock:
+            self._append_line(line)
+
+    @staticmethod
+    def read_records(path: str) -> list[dict]:
+        """Every complete record of ``path`` (header included), read-only."""
+        return _scan(path)[0]
+
+    def compact(
+        self, fold: Callable[[list[dict]], Iterable[dict]]
+    ) -> list[dict]:
+        """Atomically replace the log with ``fold(records on disk)``.
+
+        The re-scan sees what *every* instance appended, not only what
+        this one loaded; the whole swap happens under the path lock, so
+        no append can land between the scan and the reopen.
+        """
+        tmp = f"{self.path}.rotate"
+        with self._shared.lock:
+            disk = (
+                self._body(self.read_records(self.path))
+                if os.path.exists(self.path) else []
+            )
+            survivors = list(fold(disk))
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self._line(self.header))
+                fh.writelines(self._line(rec) for rec in survivors)
+                fh.flush()
+                os.fsync(fh.fileno())
+            self._fh.close()
+            os.replace(tmp, self.path)
+            _fsync_dir(self.path)
+            self._shared.epoch += 1
+            self._reopen()
+        return survivors
+
+    def close(self) -> None:
+        if not self._fh.closed:
+            self._fh.close()
+
 
 #: Fields a journaled result payload must carry to rebuild a SimResult.
 _RESULT_FIELDS = (
@@ -357,87 +420,52 @@ def sim_result_from_dict(d: dict) -> SimResult:
     )
 
 
+# ------------------------------------------------------------- record schemas
+def _fold_grid(records: Iterable[dict]) -> dict[tuple[str, int], tuple[str, dict]]:
+    """``{(grid hash, index): (point key, result payload)}``, last
+    record per slot winning.  A record missing its index or carrying a
+    payload that cannot rebuild a SimResult is skipped, never fatal:
+    the point is simply recomputed."""
+    entries: dict[tuple[str, int], tuple[str, dict]] = {}
+    for rec in records:
+        payload = rec.get("r")
+        if "grid" not in rec or not _valid_result_payload(payload):
+            continue
+        try:
+            index = int(rec["i"])
+        except (KeyError, TypeError, ValueError):
+            continue
+        entries[(rec["grid"], index)] = (rec.get("key", ""), payload)
+    return entries
+
+
 class GridJournal:
-    """Append-only JSONL checkpoint store for grid results."""
+    """Checkpoint store for grid results, one record per completed point:
+    ``{"grid": "<hash>", "i": 3, "key": "<point key>", "r": {...}}``.
+
+    ``resume=True`` is what ``python -m repro.bench --journal PATH
+    --resume`` opens; one file can hold many grids.
+    """
+
+    _HEADER = {"kind": "header", "version": 1}
 
     def __init__(self, path: str, resume: bool = False):
-        self.path = str(path)
+        self._log = AppendLog(
+            path, self._HEADER, resume=resume, sort_keys=False, fsync=False
+        )
+        self.path = self._log.path
         self.hits = 0
         self.written = 0
-        #: Bytes of torn tail dropped by the last resume (0 = clean file).
-        self.recovered_bytes = 0
+        self.recovered_bytes = self._log.recovered_bytes
         self._lock = threading.Lock()
-        self._path_lock = _path_lock(self.path)
-        self._entries: dict[tuple[str, int], tuple[str, dict]] = {}
-        with self._path_lock:
-            if not resume:
-                # Truncate explicitly; the write handle below is append-
-                # only so concurrent instances place whole lines at EOF.
-                open(self.path, "w", encoding="utf-8").close()
-            elif os.path.exists(self.path):
-                self._load()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = _path_epoch(self.path)
-            needs_header = not self._entries and (
-                not resume or os.path.getsize(self.path) == 0
-            )
-        if needs_header:
-            self._write({"kind": "header", "version": _VERSION})
-
-    def _load(self) -> None:
-        records, keep, _skipped = _recover_jsonl(self.path)
-        size = os.path.getsize(self.path)
-        if keep < size:
-            # Torn final record from an interrupted append: truncate it
-            # away so the next append starts at a clean line boundary.
-            # Replaying a strict prefix is always safe — the dropped
-            # point is simply recomputed.
-            _truncate_to(self.path, keep)
-            self.recovered_bytes = size - keep
-        for rec in records:
-            if "grid" not in rec:
-                continue
-            payload = rec.get("r")
-            if payload is None or not _valid_result_payload(payload):
-                continue
-            try:
-                index = int(rec["i"])
-            except (KeyError, TypeError, ValueError):
-                continue  # corrupt record: no usable grid slot
-            self._entries[(rec["grid"], index)] = (
-                rec.get("key", ""),
-                payload,
-            )
-
-    def _revalidate_handle(self) -> None:
-        """Reopen the append handle if another instance rotated the path.
-
-        Call while holding the path lock.  After a rotation by *any*
-        instance, every other instance's handle points at the unlinked
-        old inode — appending there loses records silently.  The
-        rotation epoch makes staleness visible: on mismatch, reopen at
-        the live path (append mode — whole lines land at EOF).
-        """
-        current = _path_epoch(self.path)
-        if current != self._epoch:
-            self._fh.close()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = current
-
-    def _write(self, rec: dict) -> None:
-        line = json.dumps(rec) + "\n"
-        with self._path_lock:
-            self._revalidate_handle()
-            self._fh.write(line)
-            self._fh.flush()
+        self._entries = _fold_grid(self._log.take_recovered())
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def epoch(self) -> int:
-        """Rotation epoch this instance's handle is valid for."""
-        return self._epoch
+        return self._log.epoch
 
     def lookup(self, ghash: str, index: int, key: str) -> SimResult | None:
         """Replay a journaled result for this exact grid slot, if any."""
@@ -449,72 +477,31 @@ class GridJournal:
             return sim_result_from_dict(entry[1])
 
     def record(self, ghash: str, index: int, key: str, result: SimResult) -> None:
-        """Checkpoint one completed point (immediately durable)."""
+        """Checkpoint one completed point."""
         d = sim_result_to_dict(result)
         with self._lock:
             self._entries[(ghash, index)] = (key, d)
-            self._write({"grid": ghash, "i": index, "key": key, "r": d})
+            self._log.append({"grid": ghash, "i": index, "key": key, "r": d})
             self.written += 1
 
     def rotate(self) -> None:
-        """Compact the journal to its live entries, atomically.
+        """Compact to one record per slot: the union of what is on disk
+        (other instances' appends included) and this instance's entries."""
 
-        The snapshot is written beside the journal and fsync'd *before*
-        it is renamed over the live file, then the directory entry is
-        fsync'd — a crash at any instant leaves either the old complete
-        journal or the new complete journal on disk, never a mix and
-        never an empty file.
-
-        Safe against concurrent instances on the same path: the whole
-        rotation — disk re-scan, snapshot write, ``os.replace``, epoch
-        bump, handle reopen — happens under the process-global per-path
-        lock, so a concurrent ``record``/``lookup``/``_load`` can never
-        observe the window between the replace and the reopen.  The
-        snapshot is the *union* of what is on disk and this instance's
-        entries (another instance may have appended records this one
-        never loaded — compacting from memory alone would drop them),
-        and the epoch bump tells every other instance to reopen its
-        now-stale append handle before its next write.
-        """
-        with self._lock, self._path_lock:
-            merged: dict[tuple[str, int], tuple[str, dict]] = {}
-            if os.path.exists(self.path):
-                disk_records, _, _ = _recover_jsonl(self.path)
-                for rec in disk_records:
-                    if "grid" not in rec:
-                        continue
-                    payload = rec.get("r")
-                    if payload is None or not _valid_result_payload(payload):
-                        continue
-                    try:
-                        index = int(rec["i"])
-                    except (KeyError, TypeError, ValueError):
-                        continue
-                    merged[(rec["grid"], index)] = (
-                        rec.get("key", ""), payload
-                    )
+        def snapshot(disk: list[dict]) -> list[dict]:
+            merged = _fold_grid(disk)
             merged.update(self._entries)
-            tmp = f"{self.path}.rotate"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"kind": "header", "version": _VERSION}))
-                fh.write("\n")
-                for (ghash, index), (key, payload) in merged.items():
-                    fh.write(json.dumps(
-                        {"grid": ghash, "i": index, "key": key, "r": payload}
-                    ))
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path)
-            self._epoch = _bump_path_epoch(self.path)
-            self._fh = open(self.path, "a", encoding="utf-8")
+            return [
+                {"grid": ghash, "i": index, "key": key, "r": payload}
+                for (ghash, index), (key, payload) in merged.items()
+            ]
+
+        with self._lock:
+            self._log.compact(snapshot)
 
     def close(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+            self._log.close()
 
     def __enter__(self) -> "GridJournal":
         return self
@@ -530,90 +517,53 @@ class GridJournal:
 
 
 class WALJournal:
-    """Crash-safe write-ahead log over JSONL records.
+    """Write-ahead log of arbitrary records, for *state machine* replay:
+    the shard supervisor leases jobs through one, and recovery is a pure
+    fold over the record stream
+    (:func:`repro.serve.shards.replay_wal_state`).
 
-    The storage discipline :class:`GridJournal` uses for checkpoint
-    replay, generalized for *state machine* replay — the shard
-    supervisor leases jobs through one of these, and recovery after a
-    supervisor crash is a pure fold over the record stream
-    (:func:`repro.serve.shards.replay_wal_state`).  The contract:
-
-    * :meth:`commit` is **durable before it returns** — the line is
-      written, flushed, and fsync'd (``fsync=False`` drops the fsync
-      for tests that hammer the log);
-    * records are committed with sorted keys, so a byte-for-byte
-      identical state always serializes to a byte-for-byte identical
-      log suffix (replay comparisons can be exact);
-    * opening with ``resume=True`` recovers from a crash mid-commit by
-      truncating a torn final record (no newline, or an unparseable
-      final line) — every fully committed record survives;
-    * :meth:`rotate` atomically replaces the log with a compacted
-      snapshot: write aside, fsync the snapshot, ``os.replace`` over
-      the live path, fsync the directory.
-
-    Thread safety matches :class:`GridJournal`: instance appends are
-    serialized, and all instances on one path share the process-global
-    per-path lock.
+    :meth:`commit` is durable (fsync'd) before it returns
+    (``fsync=False`` drops the fsync for tests that hammer the log), and
+    records are written with sorted keys, so identical state always
+    serializes to an identical log suffix and replay comparisons can be
+    exact.  Its fold is the identity: every record survives, in commit
+    order.
     """
 
+    _HEADER = {"kind": "wal-header", "version": 1}
+
     def __init__(self, path: str, resume: bool = False, fsync: bool = True):
-        self.path = str(path)
-        self.fsync = bool(fsync)
-        self.committed = 0
-        #: Bytes of torn tail dropped by the last resume (0 = clean).
-        self.recovered_bytes = 0
-        #: Complete-but-corrupt interior lines skipped by the last resume.
-        self.skipped_records = 0
+        self._log = AppendLog(
+            path, self._HEADER, resume=resume, sort_keys=True,
+            fsync=bool(fsync),
+        )
+        self.path = self._log.path
+        self.fsync = self._log.fsync
+        self.recovered_bytes = self._log.recovered_bytes
+        self.skipped_records = self._log.skipped_records
         self._lock = threading.Lock()
-        self._path_lock = _path_lock(self.path)
-        self._records: list[dict] = []
-        with self._path_lock:
-            if resume and os.path.exists(self.path):
-                records, keep, skipped = _recover_jsonl(self.path)
-                size = os.path.getsize(self.path)
-                if keep < size:
-                    _truncate_to(self.path, keep)
-                    self.recovered_bytes = size - keep
-                self.skipped_records = skipped
-                self._records = [
-                    r for r in records if r.get("kind") != "wal-header"
-                ]
-            else:
-                open(self.path, "w", encoding="utf-8").close()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = _path_epoch(self.path)
-        if os.path.getsize(self.path) == 0:
-            self.commit({"kind": "wal-header", "version": _WAL_VERSION})
+        self._records = self._log.take_recovered()
+
+    @property
+    def committed(self) -> int:
+        """Lines this instance committed (a header it wrote included)."""
+        return self._log.appended
+
+    @property
+    def epoch(self) -> int:
+        return self._log.epoch
 
     def commit(self, record: dict) -> None:
         """Durably append one record; it is on disk when this returns."""
-        line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
-            with self._path_lock:
-                current = _path_epoch(self.path)
-                if current != self._epoch:
-                    # Another instance rotated the path: our handle
-                    # points at the unlinked old inode.  Reopen first.
-                    self._fh.close()
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                    self._epoch = current
-                self._fh.write(line)
-                self._fh.flush()
-                if self.fsync:
-                    os.fsync(self._fh.fileno())
-            if record.get("kind") != "wal-header":
+            self._log.append(record)
+            if record.get("kind") != self._HEADER["kind"]:
                 self._records.append(record)
-            self.committed += 1
 
     def replay(self) -> list[dict]:
         """Every committed record in commit order (header excluded)."""
         with self._lock:
             return list(self._records)
-
-    @property
-    def epoch(self) -> int:
-        """Rotation epoch this instance's handle is valid for."""
-        return self._epoch
 
     def __len__(self) -> int:
         with self._lock:
@@ -622,37 +572,19 @@ class WALJournal:
     def rotate(self, records: Iterable[dict] | None = None) -> None:
         """Atomically replace the log with a compacted snapshot.
 
-        ``records`` defaults to the current record list (a no-op
-        compaction that still exercises the atomic-replace path);
-        callers pass the survivor set after folding the state machine.
+        Callers pass the survivor set after folding the state machine;
+        the default keeps every record on disk (a no-op compaction that
+        still exercises the atomic-replace path).
         """
         with self._lock:
-            snapshot = (
-                list(self._records) if records is None else list(records)
+            self._records = self._log.compact(
+                (lambda disk: disk) if records is None
+                else (lambda _disk: records)
             )
-            tmp = f"{self.path}.rotate"
-            with self._path_lock:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(
-                        {"kind": "wal-header", "version": _WAL_VERSION}
-                    ))
-                    fh.write("\n")
-                    for rec in snapshot:
-                        fh.write(json.dumps(rec, sort_keys=True))
-                        fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                self._fh.close()
-                os.replace(tmp, self.path)
-                _fsync_dir(self.path)
-                self._epoch = _bump_path_epoch(self.path)
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._records = snapshot
 
     def close(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+            self._log.close()
 
     def __enter__(self) -> "WALJournal":
         return self

@@ -15,15 +15,14 @@ supplies the two ingredients the service needs to make that true:
   normalized — two semantically identical configs can never hash to
   different cache entries.
 
-* :class:`MemoStore` — the :class:`~repro.resilience.journal
-  .GridJournal` generalized into a persistent content-addressed store:
-  the same JSONL append discipline, torn-tail recovery, atomic
-  write-aside rotation, per-path locks, and rotation epochs, but keyed
-  by content hash instead of ``(grid hash, index)``, with LRU
-  byte-budget eviction.  The bytes a store pins are visible to the
-  admission :class:`~repro.serve.budget.ByteBudget` through the
-  ``"memo"`` / ``"arena+memo"`` probes, so cache growth is charged
-  against the same ceiling that sheds oversized submissions.
+* :class:`MemoStore` — a content-addressed LRU result cache, optionally
+  persisted as a ``put``/``evict`` record schema over
+  :class:`~repro.resilience.journal.AppendLog` (which owns the storage
+  discipline: torn-tail recovery, per-path lock, atomic compaction).
+  The bytes a store pins are visible to the admission
+  :class:`~repro.serve.budget.ByteBudget` through the ``"memo"`` /
+  ``"arena+memo"`` probes, so cache growth is charged against the same
+  ceiling that sheds oversized submissions.
 
 Results round-trip through the journal's ``SimResult`` codec (floats
 via ``repr`` — shortest-roundtrip), so a cache hit is **bitwise
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -50,12 +48,7 @@ from ..bench.runner import GridResult
 from ..machine.simulator import resolve_engine_mode
 from ..obs.metrics import default_registry
 from ..resilience.journal import (
-    _bump_path_epoch,
-    _fsync_dir,
-    _path_epoch,
-    _path_lock,
-    _recover_jsonl,
-    _truncate_to,
+    AppendLog,
     canonical_fragment,
     sim_result_from_dict,
     sim_result_to_dict,
@@ -241,23 +234,50 @@ class _Entry:
         self.nbytes = nbytes
 
 
+def _put_record(key: str, entry: _Entry) -> dict:
+    return {"op": "put", "k": key, "kind": entry.kind, "v": entry.payload}
+
+
+def _fold_memo(records) -> "OrderedDict[str, _Entry]":
+    """Fold a ``put``/``evict`` record stream into the surviving entries,
+    least recently put first.  A record without a string key, or a
+    ``put`` whose payload does not decode, is skipped."""
+    entries: "OrderedDict[str, _Entry]" = OrderedDict()
+    for rec in records:
+        op, key = rec.get("op"), rec.get("k")
+        if not isinstance(key, str):
+            continue
+        if op == "put":
+            kind, payload = rec.get("kind"), rec.get("v")
+            if not isinstance(payload, dict):
+                continue
+            try:
+                decode_result(kind, payload)  # structural validation
+            except (KeyError, TypeError, ValueError):
+                continue
+            entries.pop(key, None)
+            entries[key] = _Entry(kind, payload, None, len(json.dumps(payload)))
+        elif op == "evict":
+            entries.pop(key, None)
+    return entries
+
+
 class MemoStore:
     """Content-addressed LRU result cache with optional persistence.
 
     ``path=None`` keeps the store purely in memory (tests, soaks).
-    With a path, every ``put`` appends a durable JSONL record and every
-    eviction a tombstone, exactly the :class:`GridJournal` storage
-    discipline: torn tails are truncated on resume, ``rotate()``
-    compacts atomically (write aside, fsync, replace, fsync dir, bump
-    the path epoch), and instances sharing one path share the
-    process-global lock and revalidate their append handles against
-    the rotation epoch.
+    With a path, every ``put`` appends a record and every eviction a
+    tombstone to an :class:`~repro.resilience.journal.AppendLog`;
+    ``resume=True`` folds the stream back into the surviving entries
+    and ``rotate()`` compacts it.
 
     ``limit_bytes`` is the LRU byte budget: a ``put`` that lifts the
     store past the limit evicts least-recently-used entries until it
     fits (the incoming entry is charged too — one entry larger than
     the whole budget is simply not stored).
     """
+
+    _HEADER = {"kind": "memo-header", "version": _MEMO_VERSION}
 
     def __init__(
         self,
@@ -275,77 +295,23 @@ class MemoStore:
         self.written = 0
         #: Bytes of torn tail dropped by the last resume (0 = clean).
         self.recovered_bytes = 0
-        self._bytes = 0
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._registry = default_registry()
-        self._fh = None
-        self._epoch = 0
+        self._log: AppendLog | None = None
         if self.path is not None:
-            self._path_lock = _path_lock(self.path)
-            with self._path_lock:
-                if resume and os.path.exists(self.path):
-                    self._load()
-                else:
-                    open(self.path, "w", encoding="utf-8").close()
-                self._fh = open(self.path, "a", encoding="utf-8")
-                self._epoch = _path_epoch(self.path)
-                if os.path.getsize(self.path) == 0:
-                    self._append(
-                        {"kind": "memo-header", "version": _MEMO_VERSION}
-                    )
-        with _LIVE_STORES_GUARD:
-            _LIVE_STORES.add(self)
-
-    # ----------------------------------------------------------- persistence
-    def _load(self) -> None:
-        """Fold the put/evict record stream into the live entry set."""
-        records, keep, _skipped = _recover_jsonl(self.path)
-        size = os.path.getsize(self.path)
-        if keep < size:
-            _truncate_to(self.path, keep)
-            self.recovered_bytes = size - keep
-        for rec in records:
-            op = rec.get("op")
-            if op == "put":
-                key, kind, payload = rec.get("k"), rec.get("kind"), rec.get("v")
-                if not isinstance(key, str) or not isinstance(payload, dict):
-                    continue
-                try:
-                    decode_result(kind, payload)  # structural validation
-                except (KeyError, TypeError, ValueError):
-                    continue
-                nbytes = len(json.dumps(payload))
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._bytes -= old.nbytes
-                self._entries[key] = _Entry(kind, payload, None, nbytes)
-                self._bytes += nbytes
-            elif op == "evict":
-                old = self._entries.pop(rec.get("k"), None)
-                if old is not None:
-                    self._bytes -= old.nbytes
+            self._log = AppendLog(
+                self.path, self._HEADER, resume=resume, sort_keys=True,
+                fsync=self.fsync,
+            )
+            self.recovered_bytes = self._log.recovered_bytes
+            self._entries = _fold_memo(self._log.take_recovered())
+        self._bytes = sum(e.nbytes for e in self._entries.values())
         # Re-apply the byte budget: the log may hold more live entries
         # than the (possibly newly lowered) limit admits.
         self._evict_to_limit(persist=False)
-
-    def _append(self, rec: dict) -> None:
-        """Append one record; call while holding the path lock."""
-        current = _path_epoch(self.path)
-        if current != self._epoch:
-            self._fh.close()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = current
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-
-    def _persist(self, rec: dict) -> None:
-        if self._fh is None:
-            return
-        with self._path_lock:
-            self._append(rec)
+        with _LIVE_STORES_GUARD:
+            _LIVE_STORES.add(self)
 
     # ----------------------------------------------------------- cache ops
     def get(self, key: str):
@@ -393,9 +359,8 @@ class MemoStore:
             self._entries[key] = entry
             self._bytes += entry.nbytes
             self.written += 1
-            if payload is not None:
-                self._persist({"op": "put", "k": key, "kind": kind,
-                               "v": payload})
+            if self._log is not None and payload is not None:
+                self._log.append(_put_record(key, entry))
             self._evict_to_limit(persist=True)
             return key in self._entries
 
@@ -408,63 +373,31 @@ class MemoStore:
             self._bytes -= entry.nbytes
             self.evictions += 1
             self._registry.counter_inc("serve.memo.evictions")
-            if persist and entry.payload is not None:
-                self._persist({"op": "evict", "k": key})
+            if persist and self._log is not None and entry.payload is not None:
+                self._log.append({"op": "evict", "k": key})
 
     # ----------------------------------------------------------- maintenance
     def rotate(self) -> None:
-        """Compact the log to the live entry set, atomically.
-
-        Same discipline as :meth:`GridJournal.rotate`: the snapshot is
-        the union of what is on disk (another instance may have put
-        entries this one never loaded) and this instance's live
-        entries, written aside, fsync'd, renamed over the live path,
-        directory fsync'd, and the rotation epoch bumped so every
-        other instance reopens its stale handle before its next write.
-        """
-        if self.path is None:
+        """Compact the log to one ``put`` per surviving entry: what the
+        disk stream folds to (another instance may have put entries this
+        one never loaded) overlaid with this instance's live entries."""
+        if self._log is None:
             return
-        with self._lock, self._path_lock:
-            merged: "OrderedDict[str, _Entry]" = OrderedDict()
-            if os.path.exists(self.path):
-                records, _, _ = _recover_jsonl(self.path)
-                for rec in records:
-                    op = rec.get("op")
-                    if op == "put" and isinstance(rec.get("v"), dict):
-                        merged[rec["k"]] = _Entry(
-                            rec.get("kind"), rec["v"], None,
-                            len(json.dumps(rec["v"])),
-                        )
-                    elif op == "evict":
-                        merged.pop(rec.get("k"), None)
+
+        def snapshot(disk: list[dict]) -> list[dict]:
+            merged = _fold_memo(disk)
             for key, entry in self._entries.items():
                 if entry.payload is not None:
                     merged[key] = entry
-            tmp = f"{self.path}.rotate"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(
-                    {"kind": "memo-header", "version": _MEMO_VERSION}
-                ))
-                fh.write("\n")
-                for key, entry in merged.items():
-                    fh.write(json.dumps(
-                        {"op": "put", "k": key, "kind": entry.kind,
-                         "v": entry.payload},
-                        sort_keys=True,
-                    ))
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path)
-            self._epoch = _bump_path_epoch(self.path)
-            self._fh = open(self.path, "a", encoding="utf-8")
+            return [_put_record(key, entry) for key, entry in merged.items()]
+
+        with self._lock:
+            self._log.compact(snapshot)
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
+            if self._log is not None:
+                self._log.close()
 
     def __enter__(self) -> "MemoStore":
         return self
@@ -479,8 +412,8 @@ class MemoStore:
 
     @property
     def epoch(self) -> int:
-        """Rotation epoch this instance's handle is valid for."""
-        return self._epoch
+        """Rotation epoch the log handle is valid for (0 in memory)."""
+        return 0 if self._log is None else self._log.epoch
 
     def __len__(self) -> int:
         with self._lock:

@@ -12,11 +12,7 @@ rejected at the door (:meth:`BoundedPriorityQueue.offer` returns
   breaks ties, so ordering is deterministic);
 * supports a cooperative shutdown: :meth:`close` wakes every blocked
   taker, after which :meth:`take` drains what is left and then returns
-  ``None``, and further offers are refused;
-* optionally displaces: :meth:`offer_displacing` admits a
-  higher-priority item into a full queue by evicting the strictly
-  lowest-priority entry — the bound still holds, and the caller sheds
-  the evicted item through the normal settle-once path.
+  ``None``, and further offers are refused.
 
 The queue knows nothing about jobs, deadlines, or budgets — those are
 admission-control concerns layered on top by
@@ -50,7 +46,6 @@ class BoundedPriorityQueue(Generic[T]):
         #: Lifetime stats (mutated under the mutex).
         self.offered = 0
         self.refused = 0
-        self.evictions = 0
         self.high_water = 0
 
     def offer(self, item: T, priority: int = 0) -> bool:
@@ -69,51 +64,6 @@ class BoundedPriorityQueue(Generic[T]):
                 self.high_water = len(self._heap)
             self._not_empty.notify()
             return True
-
-    def offer_displacing(
-        self, item: T, priority: int = 0
-    ) -> tuple[bool, T | None]:
-        """Admit ``item``, evicting the worst entry if it is strictly lower.
-
-        Like :meth:`offer` when there is room.  When the queue is full,
-        the entry with the *lowest* priority (latest arrival breaking
-        ties — the one that would have dequeued last) is evicted to
-        make room, but only if its priority is **strictly** below the
-        incoming one: equal-priority work is never displaced, so FIFO
-        fairness within a priority class holds and an eviction cascade
-        cannot churn peers.  Returns ``(admitted, evicted)``; the
-        caller owns shedding the evicted item through its normal
-        settle path so exact accounting is preserved.
-        """
-        with self._mutex:
-            self.offered += 1
-            if self._closed:
-                self.refused += 1
-                return False, None
-            if len(self._heap) < self.limit:
-                heapq.heappush(self._heap, (-priority, next(self._seq), item))
-                if len(self._heap) > self.high_water:
-                    self.high_water = len(self._heap)
-                self._not_empty.notify()
-                return True, None
-            # Full: the max heap tuple is the lowest-priority, latest
-            # entry (priority is negated).  O(n) scan — the queue is
-            # bounded and small by design.
-            worst_i = max(
-                range(len(self._heap)), key=lambda i: self._heap[i][:2]
-            )
-            worst_priority = -self._heap[worst_i][0]
-            if worst_priority >= priority:
-                self.refused += 1
-                return False, None
-            evicted = self._heap[worst_i][2]
-            self._heap[worst_i] = self._heap[-1]
-            self._heap.pop()
-            heapq.heapify(self._heap)
-            self.evictions += 1
-            heapq.heappush(self._heap, (-priority, next(self._seq), item))
-            self._not_empty.notify()
-            return True, evicted
 
     def take(self, timeout: float | None = None) -> T | None:
         """The highest-priority item, blocking up to ``timeout``.
@@ -155,6 +105,5 @@ class BoundedPriorityQueue(Generic[T]):
                 "high_water": self.high_water,
                 "offered": self.offered,
                 "refused": self.refused,
-                "evictions": self.evictions,
                 "closed": self._closed,
             }

@@ -303,7 +303,6 @@ class JobService:
         memo_limit_bytes: int | None = None,
         coalesce: bool = True,
         adaptive: AdaptiveConfig | bool | None = None,
-        evict_to_admit: bool = False,
         clock=None,
     ):
         if workers < 1:
@@ -370,7 +369,6 @@ class JobService:
                     clock=self._clock,
                     on_change=self._on_limit_change,
                 )
-        self._evict_to_admit = bool(evict_to_admit)
         #: Execution-attempt accounting (the amplification invariant):
         #: ``attempts`` counts every engine attempt, ``attempt_units``
         #: first attempts of submitted (non-hedge) work units,
@@ -528,28 +526,11 @@ class JobService:
                         f"{need:.4f}s for kind {spec.kind!r}",
                     )
                     return ticket
-        if self._evict_to_admit:
-            admitted, evicted = self._queue.offer_displacing(
-                ticket, priority=spec.priority
-            )
-            if evicted is not None:
-                self._registry.counter_inc("serve.evicted")
-                self._shed(
-                    evicted, "evicted",
-                    f"displaced by higher-priority {ticket.label!r}",
-                )
-            if not admitted:
-                self._shed(
-                    ticket, "queue_full",
-                    f"queue at limit {self._queue.limit}",
-                )
-            return ticket
         if not self._queue.offer(ticket, priority=spec.priority):
             self._shed(
                 ticket, "queue_full",
                 f"queue at limit {self._queue.limit}",
             )
-            return ticket
         return ticket
 
     def _shed(self, ticket: JobTicket, reason: str, detail: str = "") -> None:
@@ -1167,6 +1148,78 @@ class JobService:
                 ) from None
             raise
 
+    def _guarded_point(
+        self, job: JobTicket, point: GridPoint, eng: str, site: str,
+        br: CircuitBreaker, policy: RetryPolicy, budget: RetryBudget | None,
+        failures: list[TaskFailure],
+    ) -> SimResult | JobOutcome | None:
+        """Evaluate one point on one ladder rung behind every guard.
+
+        Each attempt is noted, checked against the deadline and a
+        superseding hedge, fault-perturbed, run on a shard or directly,
+        and watchdogged for corrupt/non-finite output; ``call_with_retry``
+        drives the attempts and their failures land in ``failures``.
+        Returns the result (journaled), ``None`` when the rung is
+        exhausted (the caller moves down the ladder), or the terminal
+        ``failed`` outcome when the job's deadline is spent.
+        """
+        attempt_counter = itertools.count()
+
+        def attempt() -> SimResult:
+            attempt_no = next(attempt_counter)
+            self._note_attempt(job, attempt_no)
+            self._check_deadline(job)
+            self._check_superseded(job)
+            _faults.perturb("serve", job.seq, site)
+            t0 = time.perf_counter()
+            with _trace.span(
+                "serve.point", engine=eng, **span_attrs(point, job.seq)
+            ) as s:
+                if self._shards is not None:
+                    r = self._run_on_shard(job, point, eng, site, attempt_no)
+                else:
+                    r = point.evaluate(engine=eng)
+                if _faults.take_corrupt("serve", job.seq, site):
+                    r.time_s = float("nan")
+                if not is_finite_result(r):
+                    raise CorruptionError(f"non-finite result for {site!r}")
+                record_point_metrics(s, r, time.perf_counter() - t0)
+            return r
+
+        try:
+            r, retried = call_with_retry(
+                attempt, policy, scope="serve", index=job.seq, label=site,
+                deadline_at=job.deadline_at, clock=self._clock, budget=budget,
+            )
+        except RetryExhausted as exc:
+            failures.extend(exc.failures)
+            last_kind = exc.failures[-1].kind
+            if (
+                last_kind not in PROCESS_FAILURE_KINDS
+                and last_kind != RETRY_BUDGET_KIND
+            ):
+                # Shard death is a lease-recovery event, not an engine
+                # fault: replacing the worker fixed the capacity, so the
+                # breaker must not trip on it.  A denied retry budget is
+                # likewise a *load* signal, not evidence the engine is
+                # unhealthy.
+                br.record_failure(last_kind)
+            if last_kind != "deadline":
+                return None
+            if any(f.kind in PROCESS_FAILURE_KINDS for f in failures[:-1]):
+                # The budget was eaten by shard replacement, not by the
+                # work itself: shed, don't fail.
+                raise _ShedJob(
+                    "deadline", "expired during shard replacement"
+                ) from None
+            # The job's budget is spent; degrading cannot help.
+            return JobOutcome("failed", reason="deadline", failures=failures)
+        failures.extend(retried)
+        if self.journal is not None:
+            ghash, key = self._journal_key(point)
+            self.journal.record(ghash, 0, key, r)
+        return r
+
     def _execute_engine(self, job: JobTicket) -> JobOutcome:
         point = _as_point(job.spec.payload)
         requested = job.spec.kind
@@ -1185,7 +1238,6 @@ class JobService:
                 )
                 continue
             site = f"{job.label}|{eng}"
-            attempt_counter = itertools.count()
             if job.hedge_of is not None:
                 # The hedge's launch already spent a budget token; it
                 # gets exactly one attempt and no further budget.
@@ -1193,72 +1245,14 @@ class JobService:
             else:
                 policy = self.retry_policy
                 budget = self._retry_budget(point.machine.name, eng)
-
-            def attempt() -> SimResult:
-                attempt_no = next(attempt_counter)
-                self._note_attempt(job, attempt_no)
-                self._check_deadline(job)
-                self._check_superseded(job)
-                _faults.perturb("serve", job.seq, site)
-                t0 = time.perf_counter()
-                with _trace.span(
-                    "serve.point", engine=eng, **span_attrs(point, job.seq)
-                ) as s:
-                    if self._shards is not None:
-                        r = self._run_on_shard(
-                            job, point, eng, site, attempt_no
-                        )
-                    else:
-                        r = point.evaluate(engine=eng)
-                    if _faults.take_corrupt("serve", job.seq, site):
-                        r.time_s = float("nan")
-                    if not is_finite_result(r):
-                        raise CorruptionError(
-                            f"non-finite result for {site!r}"
-                        )
-                    record_point_metrics(s, r, time.perf_counter() - t0)
+            r = self._guarded_point(
+                job, point, eng, site, br, policy, budget, failures
+            )
+            if isinstance(r, JobOutcome):
                 return r
-
-            try:
-                r, retried = call_with_retry(
-                    attempt, policy, scope="serve",
-                    index=job.seq, label=site,
-                    deadline_at=job.deadline_at, clock=self._clock,
-                    budget=budget,
-                )
-            except RetryExhausted as exc:
-                failures.extend(exc.failures)
-                last_kind = exc.failures[-1].kind
-                if (
-                    last_kind not in PROCESS_FAILURE_KINDS
-                    and last_kind != RETRY_BUDGET_KIND
-                ):
-                    # Shard death is a lease-recovery event, not an
-                    # engine fault: replacing the worker fixed the
-                    # capacity, so the breaker must not trip on it.
-                    # A denied retry budget is likewise a *load*
-                    # signal, not evidence the engine is unhealthy.
-                    br.record_failure(last_kind)
-                if last_kind == "deadline":
-                    if any(
-                        f.kind in PROCESS_FAILURE_KINDS
-                        for f in failures[:-1]
-                    ):
-                        # The budget was eaten by shard replacement, not
-                        # by the work itself: shed, don't fail.
-                        raise _ShedJob(
-                            "deadline", "expired during shard replacement"
-                        ) from None
-                    # The job's budget is spent; degrading cannot help.
-                    return JobOutcome(
-                        "failed", reason="deadline", failures=failures
-                    )
+            if r is None:
                 continue
-            failures.extend(retried)
             br.record_success()
-            if self.journal is not None:
-                ghash, key = self._journal_key(point)
-                self.journal.record(ghash, 0, key, r)
             if eng != requested:
                 for f in failures:
                     f.recovered = True
@@ -1330,68 +1324,16 @@ class JobService:
                     rank_workload_cells(point.box_size, k, dim),
                     ncomp=point.ncomp, engine=eng,
                 )
-                site = f"{job.label}|{eng}|r{k}"
-                attempt_counter = itertools.count()
-                budget = self._retry_budget(point.machine.name, eng)
-
-                def attempt(gp=gp, site=site, counter=attempt_counter,
-                            eng=eng) -> SimResult:
-                    attempt_no = next(counter)
-                    self._note_attempt(job, attempt_no)
-                    self._check_deadline(job)
-                    self._check_superseded(job)
-                    _faults.perturb("serve", job.seq, site)
-                    t0 = time.perf_counter()
-                    with _trace.span(
-                        "serve.point", engine=eng, **span_attrs(gp, job.seq)
-                    ) as s:
-                        if self._shards is not None:
-                            r = self._run_on_shard(
-                                job, gp, eng, site, attempt_no
-                            )
-                        else:
-                            r = gp.evaluate(engine=eng)
-                        if _faults.take_corrupt("serve", job.seq, site):
-                            r.time_s = float("nan")
-                        if not is_finite_result(r):
-                            raise CorruptionError(
-                                f"non-finite result for {site!r}"
-                            )
-                        record_point_metrics(s, r, time.perf_counter() - t0)
+                r = self._guarded_point(
+                    job, gp, eng, f"{job.label}|{eng}|r{k}", br,
+                    self.retry_policy,
+                    self._retry_budget(point.machine.name, eng), failures,
+                )
+                if isinstance(r, JobOutcome):
                     return r
-
-                try:
-                    r, retried = call_with_retry(
-                        attempt, self.retry_policy, scope="serve",
-                        index=job.seq, label=site,
-                        deadline_at=job.deadline_at, clock=self._clock,
-                        budget=budget,
-                    )
-                except RetryExhausted as exc:
-                    failures.extend(exc.failures)
-                    last_kind = exc.failures[-1].kind
-                    if (
-                        last_kind not in PROCESS_FAILURE_KINDS
-                        and last_kind != RETRY_BUDGET_KIND
-                    ):
-                        br.record_failure(last_kind)
-                    if last_kind == "deadline":
-                        if any(
-                            f.kind in PROCESS_FAILURE_KINDS
-                            for f in failures[:-1]
-                        ):
-                            raise _ShedJob(
-                                "deadline", "expired during shard replacement"
-                            ) from None
-                        return JobOutcome(
-                            "failed", reason="deadline", failures=failures
-                        )
+                if r is None:
                     rung_failed = True
                     break
-                failures.extend(retried)
-                if self.journal is not None:
-                    ghash, key = self._journal_key(gp)
-                    self.journal.record(ghash, 0, key, r)
                 sims[k] = r
             if rung_failed:
                 continue
@@ -1608,11 +1550,7 @@ class JobService:
                 "hedge_attempts": hedge_attempts,
                 "amplification_ok": self.amplification_ok(),
             },
-            "accounted": (
-                counts["ok"] + counts["shed"] + counts["degraded"]
-                + counts["failed"] + counts["coalesced"]
-                == counts["submitted"]
-            ),
+            "accounted": self.accounted(),
         }
 
 

@@ -58,6 +58,7 @@ from ..obs import trace as _trace
 from ..obs.metrics import default_registry
 from ..resilience import faults as _faults
 from ..resilience.journal import (
+    AppendLog,
     WALJournal,
     sim_result_from_dict,
     sim_result_to_dict,
@@ -220,8 +221,9 @@ class Shard:
 def replay_wal_state(records_or_path) -> dict:
     """Fold a WAL record stream into the state it proves.
 
-    Accepts a record list or a path (opened read-only with torn-tail
-    recovery).  Returns::
+    Accepts a record list or a path (read, never opened for append: a
+    torn tail is ignored, not truncated, so replaying a log another
+    process is mid-commit on leaves it byte-identical).  Returns::
 
         {
           "settled":     {str(seq): {"status", "reason", "degraded_to"}},
@@ -239,11 +241,7 @@ def replay_wal_state(records_or_path) -> dict:
     or ``recover`` (post-crash sweep).
     """
     if isinstance(records_or_path, (str, os.PathLike)):
-        wal = WALJournal(str(records_or_path), resume=True, fsync=False)
-        try:
-            records = wal.replay()
-        finally:
-            wal.close()
+        records = AppendLog.read_records(str(records_or_path))
     else:
         records = list(records_or_path)
     settled: dict[str, dict] = {}

@@ -355,68 +355,6 @@ class TestServiceAdaptive:
         assert stats["adaptive"]["amplification_ok"]
 
 
-class TestEvictToAdmit:
-    def test_higher_priority_displaces_lowest(self):
-        plan = FaultPlan([
-            FaultSpec(
-                scope="serve", mode="stall", label="plug|", stall_s=0.3,
-                count=1,
-            ),
-        ])
-        with inject_faults(plan), JobService(
-            workers=1, queue_limit=2, evict_to_admit=True,
-        ) as svc:
-            plug = svc.submit(JobSpec("estimate", point(), label="plug"))
-            # Wait for the worker to pick the plug up, then fill the queue.
-            assert wait_until(lambda: len(svc._queue) == 0, timeout=2.0)
-            low = [
-                svc.submit(JobSpec(
-                    "estimate", point(ncomp=6 + i), priority=0,
-                    label=f"low{i}",
-                ))
-                for i in range(2)
-            ]
-            assert wait_until(lambda: len(svc._queue) == 2, timeout=2.0)
-            high = svc.submit(JobSpec(
-                "estimate", point(ncomp=9), priority=5, label="high",
-            ))
-            outs = [t.result(timeout=30.0) for t in (plug, *low, high)]
-            stats = svc.stats()
-        assert outs[0].status == "ok"
-        assert outs[3].status == "ok"  # the high-priority job ran
-        evicted = [o for o in outs[1:3] if o.status == "shed"]
-        assert len(evicted) == 1
-        assert evicted[0].value.reason == "evicted"
-        assert stats["queue"]["evictions"] == 1
-        assert stats["shed_reasons"].get("evicted") == 1
-        assert stats["accounted"]
-
-    def test_equal_priority_is_never_displaced(self):
-        plan = FaultPlan([
-            FaultSpec(
-                scope="serve", mode="stall", label="plug|", stall_s=0.3,
-                count=1,
-            ),
-        ])
-        with inject_faults(plan), JobService(
-            workers=1, queue_limit=1, evict_to_admit=True,
-        ) as svc:
-            plug = svc.submit(JobSpec("estimate", point(), label="plug"))
-            assert wait_until(lambda: len(svc._queue) == 0, timeout=2.0)
-            first = svc.submit(JobSpec(
-                "estimate", point(ncomp=6), priority=1, label="first",
-            ))
-            peer = svc.submit(JobSpec(
-                "estimate", point(ncomp=7), priority=1, label="peer",
-            ))
-            outs = [t.result(timeout=30.0) for t in (plug, first, peer)]
-            stats = svc.stats()
-        assert outs[1].status == "ok"
-        assert outs[2].status == "shed"
-        assert outs[2].value.reason == "queue_full"
-        assert stats["queue"]["evictions"] == 0
-
-
 def hedging_service(extra_faults=(), **cfg_kw):
     """A hedging-armed service plus the stall plan for one leader."""
     kw = dict(

@@ -78,55 +78,3 @@ class TestTakeAndClose:
         assert q.take() == "a"
         assert q.take() == "b"
         assert q.take() is None
-
-
-class TestOfferDisplacing:
-    def test_behaves_like_offer_with_room(self):
-        q = BoundedPriorityQueue(2)
-        assert q.offer_displacing("a", priority=0) == (True, None)
-        assert q.depth() == 1
-        assert q.stats()["evictions"] == 0
-
-    def test_evicts_strictly_lower_priority(self):
-        q = BoundedPriorityQueue(2)
-        q.offer("low", priority=0)
-        q.offer("mid", priority=2)
-        admitted, evicted = q.offer_displacing("high", priority=5)
-        assert admitted and evicted == "low"
-        assert q.depth() == 2  # bound still holds
-        assert q.stats()["evictions"] == 1
-        assert [q.take() for _ in range(2)] == ["high", "mid"]
-
-    def test_equal_priority_never_displaced(self):
-        q = BoundedPriorityQueue(1)
-        q.offer("first", priority=3)
-        admitted, evicted = q.offer_displacing("peer", priority=3)
-        assert not admitted and evicted is None
-        assert q.take() == "first"
-        s = q.stats()
-        assert s["refused"] == 1 and s["evictions"] == 0
-
-    def test_latest_arrival_breaks_the_tie_among_victims(self):
-        q = BoundedPriorityQueue(2)
-        q.offer("old_low", priority=0)
-        q.offer("new_low", priority=0)
-        admitted, evicted = q.offer_displacing("high", priority=1)
-        assert admitted and evicted == "new_low"
-        assert [q.take() for _ in range(2)] == ["high", "old_low"]
-
-    def test_closed_queue_refuses_displacing_offers(self):
-        q = BoundedPriorityQueue(2)
-        q.offer("a", priority=0)
-        q.close()
-        assert q.offer_displacing("b", priority=9) == (False, None)
-
-    def test_high_water_and_bound_hold_through_evictions(self):
-        q = BoundedPriorityQueue(3)
-        for i in range(3):
-            q.offer(f"low{i}", priority=0)
-        for i in range(5):
-            admitted, _ = q.offer_displacing(f"high{i}", priority=1 + i)
-            assert admitted
-        assert q.depth() == 3
-        assert q.high_water == 3
-        assert q.stats()["evictions"] == 5
