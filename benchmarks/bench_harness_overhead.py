@@ -37,17 +37,10 @@ FIG9_FROZEN_COLD_S = 6.63
 
 
 def _clear_all_caches() -> None:
-    from repro.box.copier import clear_copier_cache
-    from repro.cluster.halo import clear_halo_cache
-    from repro.machine.simulator import clear_phase_cost_cache
-    from repro.machine.workload import clear_workload_cache
-    from repro.util import clear_arena, reset_perf
+    from repro.util import reset_perf
+    from repro.util.cache import clear_all_caches
 
-    clear_workload_cache()
-    clear_phase_cost_cache()
-    clear_copier_cache()
-    clear_halo_cache()
-    clear_arena()
+    clear_all_caches()
     reset_perf()
 
 

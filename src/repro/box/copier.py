@@ -13,11 +13,9 @@ on the same rank are local, copies between ranks would be MPI messages.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..util.perf import perf
+from ..util.cache import BoundedCache
 from .box import Box
 from .intvect import IntVect
 from .layout import DisjointBoxLayout
@@ -108,38 +106,21 @@ class ExchangeCopier:
         )
 
 
-# Process-wide plan cache keyed by (layout *content*, ghost width).  The
-# plan is pure box calculus on an immutable layout, so every LevelData
-# over the same layout — or over an independently constructed but
-# content-equal layout, the common case when benchmarks and the serving
-# layer each decompose the same domain — replays one shared plan.
-# Identity keying (the previous WeakKeyDictionary) missed exactly those
-# re-decompositions, which capped the copier hit rate at ~0.5.  Bounded
-# FIFO keeps distinct layouts from accumulating.
-_PLAN_CACHE: OrderedDict[tuple, ExchangeCopier] = OrderedDict()
-_PLAN_CACHE_MAX = 256
-_PLAN_LOCK = threading.Lock()
+# Keyed by layout *content*: the plan is pure box calculus on an
+# immutable layout, so an independently constructed but content-equal
+# layout — benchmarks and the serving layer each decomposing the same
+# domain — replays one shared plan, which identity keying would miss.
+_PLAN_CACHE = BoundedCache("copier_cache", 256)
 
 
 def shared_copier(layout: DisjointBoxLayout, ghost: int) -> ExchangeCopier:
     """The process-wide cached exchange plan for (layout content, ghost)."""
-    key = (layout.structure_key(), int(ghost))
-    with _PLAN_LOCK:
-        copier = _PLAN_CACHE.get(key)
-        if copier is not None:
-            _PLAN_CACHE.move_to_end(key)
-            perf().inc("copier_cache.hits")
-            return copier
-    perf().inc("copier_cache.misses")
-    copier = ExchangeCopier(layout, ghost)
-    with _PLAN_LOCK:
-        copier = _PLAN_CACHE.setdefault(key, copier)
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-    return copier
+    return _PLAN_CACHE.get_or_build(
+        (layout.structure_key(), int(ghost)),
+        lambda: ExchangeCopier(layout, ghost),
+    )
 
 
 def clear_copier_cache() -> None:
     """Drop every cached exchange plan."""
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
+    _PLAN_CACHE.clear()

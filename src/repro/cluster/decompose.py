@@ -27,15 +27,13 @@ O(n log n)) is built once per geometry and re-ranked cheaply through
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from ..box.box import Box
 from ..box.layout import DisjointBoxLayout, decompose_domain
 from ..box.problem_domain import ProblemDomain
+from ..util.cache import BoundedCache
 
 __all__ = [
     "POLICIES",
@@ -49,9 +47,8 @@ POLICIES = ("round_robin", "block", "surface")
 
 # One validated box-grid layout per geometry; rank maps are applied on
 # top via with_ranks.
-_BASE_CACHE: OrderedDict[tuple, DisjointBoxLayout] = OrderedDict()
-_BASE_CACHE_MAX = 32
-_BASE_LOCK = threading.Lock()
+_BASE_CACHE = BoundedCache("base_layout_cache", 32)
+_RANK_GRID_CACHE = BoundedCache("rank_grid_cache", 512)
 
 
 def _base_layout(
@@ -59,24 +56,15 @@ def _base_layout(
     box_size: int,
     periodic: tuple[bool, ...] | None,
 ) -> DisjointBoxLayout:
-    key = (domain_cells, box_size, periodic)
-    with _BASE_LOCK:
-        base = _BASE_CACHE.get(key)
-        if base is not None:
-            _BASE_CACHE.move_to_end(key)
-            return base
-    dbox = Box.from_extents((0,) * len(domain_cells), domain_cells)
-    kwargs = {} if periodic is None else {"periodic": periodic}
-    domain = ProblemDomain(dbox, **kwargs)
-    base = decompose_domain(domain, box_size, num_ranks=1)
-    with _BASE_LOCK:
-        base = _BASE_CACHE.setdefault(key, base)
-        while len(_BASE_CACHE) > _BASE_CACHE_MAX:
-            _BASE_CACHE.popitem(last=False)
-    return base
+    def build() -> DisjointBoxLayout:
+        dbox = Box.from_extents((0,) * len(domain_cells), domain_cells)
+        kwargs = {} if periodic is None else {"periodic": periodic}
+        domain = ProblemDomain(dbox, **kwargs)
+        return decompose_domain(domain, box_size, num_ranks=1)
+
+    return _BASE_CACHE.get_or_build((domain_cells, box_size, periodic), build)
 
 
-@lru_cache(maxsize=512)
 def rank_grid(num_ranks: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     """Factor ``num_ranks`` into a rank grid over a box grid ``counts``.
 
@@ -86,6 +74,12 @@ def rank_grid(num_ranks: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     fit (``g[d] <= counts[d]``).  Returns ``()`` when no factorization
     fits (the caller falls back to a proportional block split).
     """
+    return _RANK_GRID_CACHE.get_or_build(
+        (num_ranks, counts), lambda: _factor_rank_grid(num_ranks, counts)
+    )
+
+
+def _factor_rank_grid(num_ranks: int, counts: tuple[int, ...]) -> tuple[int, ...]:
     dim = len(counts)
     best: tuple[int, ...] = ()
     best_cost = float("inf")

@@ -10,28 +10,18 @@ ranks it talks to, and how many messages that costs (one aggregated
 message per neighbor rank per exchange, as an MPI implementation packs
 them).
 
-Two-level content-keyed cache, mirroring the PR 6 exchange-plan cache:
-
-* a *geometry tally* keyed by ``(domain, boxes, ghost)`` — rank
-  assignment stripped — holding per box-pair point counts.  Scaling
-  sweeps revisit one geometry with many rank maps (strong scaling), so
-  the expensive box-calculus pass runs once per geometry;
-* a *plan cache* keyed by ``(layout.structure_key(), ghost)`` holding
-  the folded per-rank plan.
-
-Counters ``halo_cache.hits/misses`` feed the substrate's cache
-observability (``repro.util.perf``).
+The work is split in two so each half is cached on what it depends on
+(:mod:`repro.util.cache`): a rank-free *geometry tally* of per box-pair
+point counts, and the per-rank *plan* folded from it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..box.copier import ExchangeCopier
 from ..box.layout import DisjointBoxLayout
-from ..util.perf import perf
+from ..util.cache import BoundedCache
 
 __all__ = ["HaloPlan", "RankHalo", "clear_halo_cache", "halo_plan"]
 
@@ -88,35 +78,22 @@ class HaloPlan:
 # Geometry tally: (domain, boxes, ghost) -> {(src_box, dst_box): points}.
 # Rank-free on purpose — strong-scaling sweeps refold one geometry under
 # many rank assignments without rebuilding the copier.
-_TALLY_CACHE: OrderedDict[tuple, dict[tuple[int, int], int]] = OrderedDict()
-_TALLY_CACHE_MAX = 64
+_TALLY_CACHE = BoundedCache("halo_tally_cache", 64)
 # Folded plans: (layout.structure_key(), ghost) -> HaloPlan.
-_PLAN_CACHE: OrderedDict[tuple, HaloPlan] = OrderedDict()
-_PLAN_CACHE_MAX = 256
-_LOCK = threading.Lock()
-
-
-def _geometry_key(layout: DisjointBoxLayout, ghost: int) -> tuple:
-    return (layout.domain, tuple(layout.boxes), int(ghost))
+_PLAN_CACHE = BoundedCache("halo_cache", 256)
 
 
 def _pair_tally(layout: DisjointBoxLayout, ghost: int) -> dict[tuple[int, int], int]:
-    key = _geometry_key(layout, ghost)
-    with _LOCK:
-        tally = _TALLY_CACHE.get(key)
-        if tally is not None:
-            _TALLY_CACHE.move_to_end(key)
-            return tally
-    copier = ExchangeCopier(layout, ghost)
-    tally = {}
-    for item in copier.items:
-        pair = (item.src, item.dst)
-        tally[pair] = tally.get(pair, 0) + item.num_points
-    with _LOCK:
-        tally = _TALLY_CACHE.setdefault(key, tally)
-        while len(_TALLY_CACHE) > _TALLY_CACHE_MAX:
-            _TALLY_CACHE.popitem(last=False)
-    return tally
+    def build() -> dict[tuple[int, int], int]:
+        tally: dict[tuple[int, int], int] = {}
+        for item in ExchangeCopier(layout, ghost).items:
+            pair = (item.src, item.dst)
+            tally[pair] = tally.get(pair, 0) + item.num_points
+        return tally
+
+    return _TALLY_CACHE.get_or_build(
+        (layout.domain, tuple(layout.boxes), int(ghost)), build
+    )
 
 
 def _fold(layout: DisjointBoxLayout, ghost: int) -> HaloPlan:
@@ -166,24 +143,12 @@ def halo_plan(layout: DisjointBoxLayout, ghost: int) -> HaloPlan:
     """
     if ghost < 0:
         raise ValueError(f"ghost width must be >= 0, got {ghost}")
-    key = (layout.structure_key(), int(ghost))
-    with _LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _PLAN_CACHE.move_to_end(key)
-            perf().inc("halo_cache.hits")
-            return plan
-    perf().inc("halo_cache.misses")
-    plan = _fold(layout, ghost)
-    with _LOCK:
-        plan = _PLAN_CACHE.setdefault(key, plan)
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-    return plan
+    return _PLAN_CACHE.get_or_build(
+        (layout.structure_key(), int(ghost)), lambda: _fold(layout, ghost)
+    )
 
 
 def clear_halo_cache() -> None:
     """Drop the geometry tallies and folded plans."""
-    with _LOCK:
-        _TALLY_CACHE.clear()
-        _PLAN_CACHE.clear()
+    _TALLY_CACHE.clear()
+    _PLAN_CACHE.clear()

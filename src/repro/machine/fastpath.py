@@ -33,7 +33,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-from ..util.perf import perf
+from ..util.cache import BoundedCache
 from .spec import MachineSpec
 from .workload import Workload
 
@@ -41,7 +41,6 @@ __all__ = ["HAVE_NUMPY", "WorkloadTable", "estimate_workload_fast"]
 
 _TABLE_LOCK = threading.Lock()
 _TABLE_ATTR = "_fastpath_table"
-_EVAL_CACHE_MAX = 64
 
 
 class WorkloadTable:
@@ -114,22 +113,21 @@ class WorkloadTable:
         self.ph_m = np.bincount(
             self.g_phase, weights=self.g_count, minlength=self.num_phases
         )
-        #: Memoized per-(machine, threads) evaluations, insertion-bounded.
-        self._evals: dict[tuple, tuple] = {}
+        #: Per-(machine, threads) evaluations; dies with the table.
+        self._evals = BoundedCache("fastpath_cache", 64)
 
     # -- evaluation ---------------------------------------------------------------
     def _evaluate(
         self, machine: MachineSpec, threads: int
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """(phase time, phase flops, phase bytes) arrays, memoized."""
-        key = (machine, threads)
-        with _TABLE_LOCK:
-            hit = self._evals.get(key)
-        if hit is not None:
-            perf().inc("fastpath_cache.hits")
-            return hit
-        perf().inc("fastpath_cache.misses")
+        return self._evals.get_or_build(
+            (machine, threads), lambda: self._compute(machine, threads)
+        )
 
+    def _compute(
+        self, machine: MachineSpec, threads: int
+    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         rate = machine.thread_compute_rate(threads)
         cache = machine.cache_per_thread_bytes(threads)
         # Aggregate bandwidth by concurrency level, indexable by k.
@@ -187,12 +185,7 @@ class WorkloadTable:
 
         if threads > 1:
             ph_t = ph_t + machine.barrier_seconds(threads)
-        result = (ph_t, ph_flops, ph_bytes)
-        with _TABLE_LOCK:
-            self._evals[key] = result
-            while len(self._evals) > _EVAL_CACHE_MAX:
-                del self._evals[next(iter(self._evals))]
-        return result
+        return ph_t, ph_flops, ph_bytes
 
 
 def workload_table(workload: Workload) -> WorkloadTable:

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..obs import trace as _trace
 from ..resilience import faults as _faults
+from ..util.cache import BoundedCache
 from ..util.perf import perf
 from .spec import MachineSpec
 from .workload import Phase, WorkItem, Workload
@@ -275,48 +274,21 @@ def _simulate_phase_time(phase: Phase, machine: MachineSpec, threads: int) -> fl
     return now
 
 
-# Process-wide phase-time caches.  A phase's content key determines its
-# time exactly, so costs survive across engine calls — a thread sweep
-# over one workload, or the same per-box phase appearing in other
-# workloads, recompute nothing.  The estimator keys on the *canonical*
-# cost key (group order and splitting are non-semantic for the closed
-# form); the event-driven engine keys on the order-sensitive structural
-# key, because its queue order follows group order.  Bounded FIFO;
-# cleared by tests.
-_PHASE_COST_CACHE: OrderedDict[tuple, float] = OrderedDict()
-_SIM_PHASE_CACHE: OrderedDict[tuple, float] = OrderedDict()
-_PHASE_COST_CACHE_MAX = 8192
-_PHASE_COST_LOCK = threading.Lock()
+# A phase's content key determines its time exactly, so costs survive
+# across engine calls — a thread sweep over one workload, or the same
+# per-box phase appearing in other workloads, recompute nothing.  The
+# estimator keys on the *canonical* cost key (group order and splitting
+# are non-semantic for the closed form); the event-driven engine keys
+# on the order-sensitive structural key, because its queue order
+# follows group order.
+_PHASE_COST_CACHE = BoundedCache("phase_cache", 8192)
+_SIM_PHASE_CACHE = BoundedCache("sim_phase_cache", 8192)
 
 
 def clear_phase_cost_cache() -> None:
     """Drop every memoized phase time (both engines' caches)."""
-    with _PHASE_COST_LOCK:
-        _PHASE_COST_CACHE.clear()
-        _SIM_PHASE_CACHE.clear()
-
-
-def _cached_phase_time(
-    cache: OrderedDict,
-    counter: str,
-    key: tuple,
-    compute: Callable[[], float],
-) -> float:
-    """Shared bounded-FIFO lookup for the two phase-time caches."""
-    with _PHASE_COST_LOCK:
-        t = cache.get(key)
-        if t is not None:
-            cache.move_to_end(key)
-    if t is None:
-        perf().inc(f"{counter}.misses")
-        t = compute()
-        with _PHASE_COST_LOCK:
-            cache[key] = t
-            while len(cache) > _PHASE_COST_CACHE_MAX:
-                cache.popitem(last=False)
-    else:
-        perf().inc(f"{counter}.hits")
-    return t
+    _PHASE_COST_CACHE.clear()
+    _SIM_PHASE_CACHE.clear()
 
 
 # ------------------------------------------------------------------ shared replay
@@ -444,9 +416,7 @@ def estimate_workload(
         ckey = phase.cost_key()
         t = local.get(ckey)
         if t is None:
-            t = _cached_phase_time(
-                _PHASE_COST_CACHE,
-                "phase_cache",
+            t = _PHASE_COST_CACHE.get_or_build(
                 (machine, threads, ckey),
                 lambda: _estimate_phase_time(phase, machine, threads),
             )
@@ -500,9 +470,7 @@ def simulate_workload(
             if fast and len(_merged_groups(phase)) == 1:
                 t = _estimate_phase_time(phase, machine, threads)
             else:
-                t = _cached_phase_time(
-                    _SIM_PHASE_CACHE,
-                    "sim_phase_cache",
+                t = _SIM_PHASE_CACHE.get_or_build(
                     (machine, threads, skey),
                     lambda: _simulate_phase_time(phase, machine, threads),
                 )

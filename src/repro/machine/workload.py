@@ -16,8 +16,6 @@ items are stored as (item, count) groups so paper-scale workloads
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -28,7 +26,7 @@ from ..box.box import Box
 from ..exemplar.problem import PAPER_DOMAIN_CELLS
 from ..schedules.base import Variant
 from ..schedules.tiling import TileGrid
-from ..util.perf import perf
+from ..util.cache import BoundedCache
 
 __all__ = [
     "WorkItem",
@@ -183,16 +181,13 @@ def _num_boxes(domain_cells: Sequence[int], box_size: int) -> int:
 #: tiled variants it walks the full tile grid, which dominated the
 #: figure-suite profile.  Callers receive a shared instance and must
 #: treat it as immutable (every in-tree consumer does).
-_WORKLOAD_CACHE: OrderedDict[tuple, Workload] = OrderedDict()
-_WORKLOAD_CACHE_MAX = 512
-_WORKLOAD_LOCK = threading.Lock()
+_WORKLOAD_CACHE = BoundedCache("workload_cache", 512)
 
 
 def clear_workload_cache() -> None:
     """Drop every memoized workload and phase cycle (tests, memory)."""
-    with _WORKLOAD_LOCK:
-        _WORKLOAD_CACHE.clear()
-        _BOX_CYCLE_CACHE.clear()
+    _WORKLOAD_CACHE.clear()
+    _BOX_CYCLE_CACHE.clear()
 
 
 def build_workload(
@@ -214,19 +209,9 @@ def build_workload(
         int(ncomp),
         int(dim),
     )
-    with _WORKLOAD_LOCK:
-        wl = _WORKLOAD_CACHE.get(key)
-        if wl is not None:
-            _WORKLOAD_CACHE.move_to_end(key)
-            perf().inc("workload_cache.hits")
-            return wl
-    perf().inc("workload_cache.misses")
-    wl = _build_workload(variant, box_size, domain_cells, ncomp, dim)
-    with _WORKLOAD_LOCK:
-        wl = _WORKLOAD_CACHE.setdefault(key, wl)
-        while len(_WORKLOAD_CACHE) > _WORKLOAD_CACHE_MAX:
-            _WORKLOAD_CACHE.popitem(last=False)
-    return wl
+    return _WORKLOAD_CACHE.get_or_build(
+        key, lambda: _build_workload(variant, box_size, domain_cells, ncomp, dim)
+    )
 
 
 #: Memoized per-box phase cycles, keyed on the canonical task-graph
@@ -237,15 +222,20 @@ def build_workload(
 #: The cached phases are shared, never copied: their ``structure_key``
 #: is computed once ever, which is what makes replaying a
 #: 12288-box workload free.
-_BOX_CYCLE_CACHE: dict[tuple, tuple[Phase, ...]] = {}
+_BOX_CYCLE_CACHE = BoundedCache("box_cycle_cache", 512)
 
 
 def _box_phase_cycle(variant: Variant, n: int, ncomp: int, dim: int) -> tuple[Phase, ...]:
     """The barrier phases one P<Box box contributes, memoized."""
-    key = variant.structure_key(n, ncomp, dim)
-    cycle = _BOX_CYCLE_CACHE.get(key)
-    if cycle is not None:
-        return cycle
+    return _BOX_CYCLE_CACHE.get_or_build(
+        variant.structure_key(n, ncomp, dim),
+        lambda: _build_box_phase_cycle(variant, n, ncomp, dim),
+    )
+
+
+def _build_box_phase_cycle(
+    variant: Variant, n: int, ncomp: int, dim: int
+) -> tuple[Phase, ...]:
     box_traffic = variant_traffic(variant, n, ncomp=ncomp, dim=dim)
     box_flops = variant_box_flops(variant, n, ncomp=ncomp, dim=dim).total
     cells = n**dim
@@ -294,7 +284,7 @@ def _box_phase_cycle(variant: Variant, n: int, ncomp: int, dim: int) -> tuple[Ph
                 phase.add(tile_shapes[shape], count)
             box_phases.append(phase)
         cycle = tuple(box_phases)
-    return _BOX_CYCLE_CACHE.setdefault(key, cycle)
+    return cycle
 
 
 def _build_workload(

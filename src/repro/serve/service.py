@@ -100,6 +100,7 @@ from ..resilience.retry import (
     classify_failure,
 )
 from ..resilience.watchdog import HeartbeatMonitor, is_finite_result
+from ..util.perf import publish_cache_gauges
 from .adaptive import AdaptiveConfig, AdaptiveLimiter, LatencyTracker, RetryBudget
 from .breaker import STATE_CODES, CircuitBreaker
 from .budget import ByteBudget
@@ -464,6 +465,7 @@ class JobService:
         if self._shards is not None:
             self._shards.stop()
         self._publish_gauges()
+        publish_cache_gauges(self._registry)
         if self._owns_wal and self.wal is not None:
             self.wal.close()
         if self._owns_memo and self._memo is not None:

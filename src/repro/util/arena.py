@@ -40,6 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .cache import register_family
 from .perf import perf
 
 __all__ = [
@@ -265,3 +266,8 @@ def clear_arena() -> None:
         states = [s for _, s in _all_states]
     for st in states:
         st.free.clear()
+
+
+# A per-thread buffer pool, not a keyed cache: it joins the cache
+# registry only for the perf report and clear_all_caches().
+register_family("arena", clear_arena)

@@ -1,8 +1,7 @@
 """Process-wide performance counters for the execution substrate.
 
-The scratch arena (:mod:`repro.util.arena`), the workload/plan caches
-(:mod:`repro.machine.workload`, :mod:`repro.box.copier`,
-:mod:`repro.machine.simulator`) and the experiment runner all report
+The scratch arena (:mod:`repro.util.arena`), every substrate cache
+(:mod:`repro.util.cache`) and the experiment runner all report
 into one global :class:`PerfCounters` instance, so a benchmark run can
 answer "how much re-allocation and re-planning did the substrate
 avoid?" with a single snapshot.
@@ -30,7 +29,6 @@ from typing import Iterator
 from ..obs.metrics import MetricsRegistry, default_registry
 
 __all__ = [
-    "CACHE_FAMILIES",
     "PerfCounters",
     "perf",
     "publish_cache_gauges",
@@ -39,16 +37,15 @@ __all__ = [
     "format_perf_report",
 ]
 
-#: The substrate's memoization layers, as (counter prefix, human label).
-CACHE_FAMILIES = (
-    ("arena", "scratch arena"),
-    ("workload_cache", "workload cache"),
-    ("phase_cache", "phase-cost cache"),
-    ("sim_phase_cache", "sim phase cache"),
-    ("copier_cache", "copier plan cache"),
-    ("halo_cache", "halo plan cache"),
-    ("fastpath_cache", "fast-path table cache"),
-)
+#: Report labels that are not just the family name with spaces.  Display
+#: only: which families exist comes from :mod:`repro.util.cache`.
+_LABELS = {
+    "arena": "scratch arena",
+    "phase_cache": "phase-cost cache",
+    "copier_cache": "copier plan cache",
+    "halo_cache": "halo plan cache",
+    "fastpath_cache": "fast-path table cache",
+}
 
 _COUNT = "count."
 _TIME = "time."
@@ -145,15 +142,17 @@ def publish_cache_gauges(registry=None) -> dict[str, float]:
     """Snapshot every cache family's hit rate into ``repro.obs`` gauges.
 
     Sets ``cache.<family>.hit_rate`` (plus ``.hits``/``.misses``) in the
-    registry for each family that saw any traffic, and returns the hit
-    rates.  The observational mirror of the memoization satellites: the
-    benchmark harness and the serving layer publish these so dashboards
-    can watch cache effectiveness without scraping counter pairs.
+    registry for each family registered with :mod:`repro.util.cache`
+    that saw any traffic, and returns the hit rates.  The benchmark
+    harness and ``JobService.stop()`` publish these so dashboards can
+    watch cache effectiveness without scraping counter pairs.
     """
+    from .cache import cache_families  # cache.py imports perf() from here
+
     if registry is None:
         registry = default_registry()
     rates: dict[str, float] = {}
-    for prefix, _ in CACHE_FAMILIES:
+    for prefix in cache_families():
         hits = _PERF.get(f"{prefix}.hits")
         misses = _PERF.get(f"{prefix}.misses")
         if hits + misses == 0:
@@ -168,10 +167,13 @@ def publish_cache_gauges(registry=None) -> dict[str, float]:
 
 def format_perf_report() -> str:
     """Human-readable summary of the substrate counters."""
+    from .cache import cache_families
+
     snap = _PERF.snapshot()
     counts, times = snap["counts"], snap["times"]
     out = ["substrate perf counters:"]
-    for prefix, label in CACHE_FAMILIES:
+    for prefix in cache_families():
+        label = _LABELS.get(prefix, prefix.replace("_", " "))
         hits = counts.get(f"{prefix}.hits", 0)
         misses = counts.get(f"{prefix}.misses", 0)
         if hits + misses == 0:

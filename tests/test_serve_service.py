@@ -302,9 +302,12 @@ class TestSupervision:
                 svc.submit(JobSpec("estimate", point(box=b)))
                 for b in (16, 32, 16, 32)
             ]
+            svc._registry.reset("cache.")
             svc.stop(drain=True)
         assert all(t.result(timeout=0).status == "ok" for t in tickets)
         assert svc.census() == []
+        # stop() publishes the substrate cache gauges beside the serve ones.
+        assert "cache.workload_cache.hit_rate" in svc._registry.snapshot()["gauges"]
 
     def test_stop_without_drain_sheds_queued_work(self):
         plan = FaultPlan([FaultSpec(
