@@ -342,10 +342,21 @@ def _memo_overhead() -> dict:
     100% hit rate, so the job collapses to key + decode — and must come
     back at least 5x faster than cold with a bitwise-identical grid
     hash (``check_overhead_regression.py --memo-min-speedup``).
+
+    The put leg asks whether storing a result costs less than
+    recomputing it: the time to ``put`` every result of the design
+    space Fig. 9 searches on one machine (every practical variant x
+    paper box size, under both engines; results run from 1 to ~10^5
+    phase times) over the time to evaluate the same points cold.  Every
+    fig2 result holds a single phase time, so that grid cannot show it.
+    ``check_overhead_regression.py`` gates the ratio, not the times.
     """
     from repro.bench.experiments import scaling_grid_points
-    from repro.bench.runner import run_grid
-    from repro.serve import JobService, serve_grid
+    from repro.bench.runner import GridPoint, run_grid
+    from repro.exemplar.problem import PAPER_BOX_SIZES
+    from repro.machine.spec import MAGNY_COURS
+    from repro.schedules import practical_variants
+    from repro.serve import JobService, MemoStore, serve_grid
 
     points = scaling_grid_points("fig2")
     cold_repeats = 3
@@ -381,6 +392,25 @@ def _memo_overhead() -> dict:
         served_warm_s = best
         memo_stats = svc.stats()["memo"]
 
+    put_s = evaluate_s = 0.0
+    design_points = 0
+    for engine in ("estimate", "simulate"):
+        for n in PAPER_BOX_SIZES:
+            for variant in practical_variants():
+                if not variant.applicable_to_box(n):
+                    continue
+                point = GridPoint(
+                    variant, MAGNY_COURS, MAGNY_COURS.cores, n, engine=engine
+                )
+                result = point.evaluate()
+                evaluate_s += best_cold(point.evaluate)
+                # A fresh store per repeat: first write wins, so a
+                # second put of one key would time a dict lookup.
+                put_s += best_cold(
+                    lambda: MemoStore().put("k", engine, result)
+                )
+                design_points += 1
+
     return {
         "grid_points": len(points),
         "direct_cold_s": round(direct_cold_s, 6),
@@ -391,6 +421,10 @@ def _memo_overhead() -> dict:
         "warm_hits": memo_stats["hits"],
         "warm_misses": memo_stats["misses"],
         "bitwise_equal": gr_cold.grid_hash == gr_warm.grid_hash,
+        "design_points": design_points,
+        "design_evaluate_cold_s": round(evaluate_s, 6),
+        "design_put_s": round(put_s, 6),
+        "put_over_evaluate_ratio": round(put_s / evaluate_s, 4),
     }
 
 

@@ -36,6 +36,11 @@ GATED_METRICS = (
 )
 
 
+#: A memoized result must cost less to store than to recompute, with
+#: room: 1.47 with JSON-dict entries, ~0.07 with packed ones.
+MEMO_MAX_PUT_RATIO = 0.5
+
+
 def load_section(path: str, name: str) -> dict:
     with open(path) as f:
         doc = json.load(f)
@@ -154,6 +159,9 @@ def check_memo(memo: dict, tolerance: float, min_speedup: float) -> list[str]:
     evaluation they front.  The warm (100% hit) leg must repay at least
     ``min_speedup`` over cold with a bitwise-identical grid hash; a
     hit that is fast but different is a correctness bug, not a win.
+    Storing must cost less than recomputing: the put leg's ratio (time
+    to ``put`` the design space's results / time to evaluate them cold)
+    stays under ``MEMO_MAX_PUT_RATIO``.
     """
     direct = memo.get("direct_cold_s")
     cold = memo.get("served_cold_s")
@@ -177,6 +185,15 @@ def check_memo(memo: dict, tolerance: float, min_speedup: float) -> list[str]:
     if memo.get("bitwise_equal") is False:
         problems.append(
             "memo warm grid is not bitwise-identical to the cold grid"
+        )
+    ratio = memo.get("put_over_evaluate_ratio")
+    if ratio is not None and ratio >= MEMO_MAX_PUT_RATIO:
+        problems.append(
+            f"memo put: storing the design space's results costs "
+            f"{ratio:.2f}x evaluating them cold (put "
+            f"{memo.get('design_put_s', 0) * 1e3:.2f} ms, evaluate "
+            f"{memo.get('design_evaluate_cold_s', 0) * 1e3:.2f} ms); "
+            f"must stay < {MEMO_MAX_PUT_RATIO}"
         )
     return problems
 
@@ -293,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
             f"(direct {memo.get('direct_cold_s', 0) * 1e3:.2f} ms) -> "
             f"warm {memo.get('served_warm_s', 0) * 1e3:.2f} ms "
             f"({memo.get('warm_speedup', 0)}x, bitwise_equal="
-            f"{memo.get('bitwise_equal')})"
+            f"{memo.get('bitwise_equal')}); put/evaluate "
+            f"{memo.get('put_over_evaluate_ratio')}"
         )
     else:
         print(f"{args.current}: no memo section yet; memo gate skipped")

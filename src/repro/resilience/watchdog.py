@@ -49,8 +49,8 @@ __all__ = [
 def is_finite_result(r: SimResult) -> bool:
     """True when every numeric field of a simulator result is finite."""
     scalars = (r.time_s, r.flops, r.dram_bytes)
-    return all(math.isfinite(x) for x in scalars) and all(
-        math.isfinite(t) for t in r.phase_times
+    return all(map(math.isfinite, scalars)) and all(
+        map(math.isfinite, r.phase_times)
     )
 
 

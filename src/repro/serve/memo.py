@@ -24,10 +24,14 @@ supplies the two ingredients the service needs to make that true:
   ``"arena+memo"`` probes, so cache growth is charged against the same
   ceiling that sheds oversized submissions.
 
-Results round-trip through the journal's ``SimResult`` codec (floats
-via ``repr`` — shortest-roundtrip), so a cache hit is **bitwise
-identical** to the cold execution it replaces; the ``memo`` verify
-family asserts exactly that under every substrate-toggle combination.
+In memory an entry is *packed*: a result's scalars as they are and its
+``phase_times`` as ``array('d')`` bytes through ``zlib`` — no float is
+formatted to store a result, and the byte budget counts bytes the store
+holds.  On disk a ``put`` record carries the journal's ``SimResult``
+JSON codec (floats via ``repr`` — shortest-roundtrip).  Both keep every
+bit, so a cache hit is **bitwise identical** to the cold execution it
+replaces; the ``memo`` verify family asserts exactly that under every
+substrate-toggle combination.
 
 Hit/miss/eviction traffic lands in :mod:`repro.obs` as
 ``serve.memo.{hits,misses,evictions}`` counters plus
@@ -38,14 +42,15 @@ supervisor).  See ``docs/serving.md``.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import weakref
+import zlib
+from array import array
 from collections import OrderedDict
 from functools import lru_cache
 
 from ..bench.runner import GridResult
-from ..machine.simulator import resolve_engine_mode
+from ..machine.simulator import SimResult, resolve_engine_mode
 from ..obs.metrics import default_registry
 from ..resilience.journal import (
     AppendLog,
@@ -171,18 +176,22 @@ def canonical_job_key(kind_or_spec, payload=_UNSET) -> str:
 
 
 # ------------------------------------------------------------------ codecs
-def encode_result(kind: str, value) -> dict | None:
-    """JSON payload for one ``ok`` outcome value, or ``None``.
+def _complete_grid(value) -> bool:
+    """A partial grid must never be replayed as a hit."""
+    return isinstance(value, GridResult) and all(r is not None for r in value)
 
-    ``None`` means the value has no JSON codec (cluster steps carry
-    live spec objects) — the store keeps such entries in memory only.
-    Grid results are encodable only when fully complete; a partial
-    grid must never be replayed as a hit.
+
+def encode_result(kind: str, value) -> dict | None:
+    """JSON payload of one ``ok`` outcome value's log record, or ``None``.
+
+    ``None`` means the value has no codec (cluster steps carry live
+    spec objects, a partial grid is not a result) — the store keeps
+    such entries opaque, in memory only.
     """
     if kind in _POINT_KINDS:
         return {"sim": sim_result_to_dict(value)}
     if kind == "grid":
-        if not isinstance(value, GridResult) or any(r is None for r in value):
+        if not _complete_grid(value):
             return None
         return {
             "grid_hash": value.grid_hash,
@@ -194,7 +203,7 @@ def encode_result(kind: str, value) -> dict | None:
 
 
 def decode_result(kind: str, payload: dict):
-    """Rebuild a hit's value from its stored payload (fresh objects)."""
+    """Rebuild a value from its log-record payload (fresh objects)."""
     if kind in _POINT_KINDS:
         return sim_result_from_dict(payload["sim"])
     if kind == "grid":
@@ -207,14 +216,74 @@ def decode_result(kind: str, payload: dict):
     raise KeyError(f"no decoder for memoized kind {kind!r}")
 
 
+#: Charged per entry for what it holds besides its packed value: the
+#: key string, the ``_Entry`` and its ``OrderedDict`` slot.
+_ENTRY_OVERHEAD_BYTES = 256
+
+#: Charged per packed result on top of its blob: the tuple, the scalar
+#: objects in it and the ``bytes`` header.
+_SIM_OVERHEAD_BYTES = 256
+
+#: Byte charge for an entry kept opaque (no codec): the object graph
+#: of a cluster step over a few rank shapes.
+_OPAQUE_ENTRY_BYTES = 2048
+
+
+def _pack_sim(r: SimResult) -> tuple:
+    """The immutable in-memory form of one result: its scalars as they
+    are, then ``phase_times`` as compressed ``array('d')`` bytes (the
+    list is a cycle x repeat expansion of a few distinct values, so
+    level 1 already packs it ~100x).  Raises ``TypeError`` /
+    ``OverflowError`` on a phase time no double holds."""
+    return (
+        r.machine, r.variant, r.threads, r.time_s, r.flops, r.dram_bytes,
+        zlib.compress(array("d", r.phase_times).tobytes(), 1),
+    )
+
+
+def _unpack_sim(packed: tuple) -> SimResult:
+    machine, variant, threads, time_s, flops, dram_bytes, blob = packed
+    return SimResult(
+        machine, variant, int(threads), time_s, flops, dram_bytes,
+        array("d", zlib.decompress(blob)).tolist(),
+    )
+
+
+def _sim_bytes(packed: tuple) -> int:
+    return _SIM_OVERHEAD_BYTES + len(packed[-1])
+
+
+def _pack(kind: str, value) -> tuple[object, int] | None:
+    """``(packed value, bytes it holds)`` for one ``ok`` outcome value;
+    ``None`` exactly where :func:`encode_result` is ``None``."""
+    if kind in _POINT_KINDS:
+        packed = _pack_sim(value)
+        return packed, _sim_bytes(packed)
+    if kind == "grid":
+        if not _complete_grid(value):
+            return None
+        sims = tuple(_pack_sim(r) for r in value)
+        return (value.grid_hash, sims), sum(map(_sim_bytes, sims))
+    if kind == "verify":
+        messages = tuple(str(m) for m in value)
+        return messages, sum(map(len, messages))
+    return None
+
+
+def _unpack(kind: str, packed):
+    """A fresh value from its packed form."""
+    if kind in _POINT_KINDS:
+        return _unpack_sim(packed)
+    if kind == "grid":
+        grid_hash, sims = packed
+        return GridResult([_unpack_sim(s) for s in sims], grid_hash=grid_hash)
+    return list(packed)  # verify messages
+
+
 #: Live stores, for the byte-budget probe (weakly held: a dropped
 #: store stops charging the budget).
 _LIVE_STORES: "weakref.WeakSet[MemoStore]" = weakref.WeakSet()
 _LIVE_STORES_GUARD = threading.Lock()
-
-#: Byte charge for an entry kept in memory only (no JSON codec): the
-#: object graph of a cluster step over a few rank shapes.
-_OPAQUE_ENTRY_BYTES = 2048
 
 
 def memo_bytes() -> int:
@@ -225,23 +294,34 @@ def memo_bytes() -> int:
 
 
 class _Entry:
-    __slots__ = ("kind", "payload", "value", "nbytes")
+    """One cached value; never mutated, so it is read outside the lock."""
 
-    def __init__(self, kind, payload, value, nbytes):
+    __slots__ = ("kind", "packed", "value", "nbytes")
+
+    def __init__(self, kind, packed, value, nbytes):
         self.kind = kind
-        self.payload = payload  # JSON dict, or None for opaque entries
+        self.packed = packed  # immutable packed form, or None if opaque
         self.value = value  # live object, only for opaque entries
         self.nbytes = nbytes
 
 
-def _put_record(key: str, entry: _Entry) -> dict:
-    return {"op": "put", "k": key, "kind": entry.kind, "v": entry.payload}
+def _new_entry(kind: str, value) -> _Entry:
+    """Pack ``value`` into an entry (opaque where there is no codec)."""
+    packed = _pack(kind, value)
+    if packed is None:
+        return _Entry(kind, None, value, _OPAQUE_ENTRY_BYTES)
+    return _Entry(kind, packed[0], None, _ENTRY_OVERHEAD_BYTES + packed[1])
+
+
+def _put_record(key: str, kind: str, value) -> dict:
+    return {"op": "put", "k": key, "kind": kind, "v": encode_result(kind, value)}
 
 
 def _fold_memo(records) -> "OrderedDict[str, _Entry]":
     """Fold a ``put``/``evict`` record stream into the surviving entries,
-    least recently put first.  A record without a string key, or a
-    ``put`` whose payload does not decode, is skipped."""
+    least recently put first, packing each payload in the pass that
+    validates it.  A record without a string key, or a ``put`` whose
+    payload does not decode and pack, is skipped."""
     entries: "OrderedDict[str, _Entry]" = OrderedDict()
     for rec in records:
         op, key = rec.get("op"), rec.get("k")
@@ -252,11 +332,11 @@ def _fold_memo(records) -> "OrderedDict[str, _Entry]":
             if not isinstance(payload, dict):
                 continue
             try:
-                decode_result(kind, payload)  # structural validation
-            except (KeyError, TypeError, ValueError):
+                entry = _new_entry(kind, decode_result(kind, payload))
+            except (KeyError, TypeError, ValueError, OverflowError):
                 continue
             entries.pop(key, None)
-            entries[key] = _Entry(kind, payload, None, len(json.dumps(payload)))
+            entries[key] = entry
         elif op == "evict":
             entries.pop(key, None)
     return entries
@@ -269,12 +349,18 @@ class MemoStore:
     With a path, every ``put`` appends a record and every eviction a
     tombstone to an :class:`~repro.resilience.journal.AppendLog`;
     ``resume=True`` folds the stream back into the surviving entries
-    and ``rotate()`` compacts it.
+    and ``rotate()`` compacts it.  Entries are held packed (see
+    :func:`_pack_sim`); JSON exists only in the log.
 
-    ``limit_bytes`` is the LRU byte budget: a ``put`` that lifts the
+    ``limit_bytes`` is the LRU byte budget, in packed bytes held (each
+    entry's blobs plus a fixed overhead): a ``put`` that lifts the
     store past the limit evicts least-recently-used entries until it
     fits (the incoming entry is charged too — one entry larger than
     the whole budget is simply not stored).
+
+    Packing and unpacking run outside the store lock, which covers the
+    entry table, the counters and — so a ``put`` line always precedes
+    its tombstone — the log append.
     """
 
     _HEADER = {"kind": "memo-header", "version": _MEMO_VERSION}
@@ -317,10 +403,9 @@ class MemoStore:
     def get(self, key: str):
         """The cached value for ``key`` (a fresh object), or ``None``.
 
-        Persistent entries decode from their stored JSON payload on
-        every hit, so callers can never mutate the cache through a
-        returned result; opaque (memory-only) entries return the
-        stored frozen object.
+        A hit unpacks the entry's immutable packed form, so callers can
+        never mutate the cache through a returned result; opaque
+        (memory-only) entries return the stored frozen object.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -331,26 +416,38 @@ class MemoStore:
             self._entries.move_to_end(key)
             self.hits += 1
             self._registry.counter_inc("serve.memo.hits")
-            if entry.payload is not None:
-                return decode_result(entry.kind, entry.payload)
+        if entry.packed is None:
             return entry.value
+        return _unpack(entry.kind, entry.packed)
+
+    def _refresh(self, key: str) -> bool:
+        """Mark ``key`` most recently used if cached (lock held)."""
+        if key not in self._entries:
+            return False
+        self._entries.move_to_end(key)
+        return True
 
     def put(self, key: str, kind: str, value) -> bool:
         """Store one result; returns whether the entry is now cached.
 
         First write wins: results are deterministic functions of the
-        key, so a concurrent duplicate put only refreshes recency.
+        key, so a concurrent duplicate put only refreshes recency.  A
+        result that does not pack (a phase time that is not a number)
+        is not cached.
         """
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
+            if self._refresh(key):
                 return True
-            payload = encode_result(kind, value)
-            if payload is not None:
-                nbytes = len(json.dumps(payload))
-                entry = _Entry(kind, payload, None, nbytes)
-            else:
-                entry = _Entry(kind, None, value, _OPAQUE_ENTRY_BYTES)
+        try:
+            entry = _new_entry(kind, value)
+        except (TypeError, OverflowError):
+            return False
+        record = None
+        if self._log is not None and entry.packed is not None:
+            record = _put_record(key, kind, value)
+        with self._lock:
+            if self._refresh(key):  # a concurrent put of this key won
+                return True
             if (
                 self.limit_bytes is not None
                 and entry.nbytes > self.limit_bytes
@@ -359,8 +456,8 @@ class MemoStore:
             self._entries[key] = entry
             self._bytes += entry.nbytes
             self.written += 1
-            if self._log is not None and payload is not None:
-                self._log.append(_put_record(key, entry))
+            if record is not None:
+                self._log.append(record)
             self._evict_to_limit(persist=True)
             return key in self._entries
 
@@ -373,23 +470,27 @@ class MemoStore:
             self._bytes -= entry.nbytes
             self.evictions += 1
             self._registry.counter_inc("serve.memo.evictions")
-            if persist and self._log is not None and entry.payload is not None:
+            if persist and self._log is not None and entry.packed is not None:
                 self._log.append({"op": "evict", "k": key})
 
     # ----------------------------------------------------------- maintenance
     def rotate(self) -> None:
         """Compact the log to one ``put`` per surviving entry: what the
         disk stream folds to (another instance may have put entries this
-        one never loaded) overlaid with this instance's live entries."""
+        one never loaded) overlaid with this instance's live entries,
+        each re-encoded from its packed form."""
         if self._log is None:
             return
 
         def snapshot(disk: list[dict]) -> list[dict]:
             merged = _fold_memo(disk)
             for key, entry in self._entries.items():
-                if entry.payload is not None:
+                if entry.packed is not None:
                     merged[key] = entry
-            return [_put_record(key, entry) for key, entry in merged.items()]
+            return [
+                _put_record(key, e.kind, _unpack(e.kind, e.packed))
+                for key, e in merged.items()
+            ]
 
         with self._lock:
             self._log.compact(snapshot)

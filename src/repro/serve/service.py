@@ -548,7 +548,24 @@ class JobService:
             # primary (or is discarded) — they never touch the
             # accounting buckets or the WAL.
             return self._finalize_hedge(ticket, outcome)
-        if not ticket._settle(outcome):
+        try:
+            if (
+                ticket.memo_key is not None
+                and self._memo is not None
+                and outcome.status == "ok"
+                and not outcome.cached
+                and not ticket.done()
+            ):
+                # Written through before the ticket settles: the store
+                # packs outside its lock, so a caller already holding
+                # the result could otherwise resubmit the job and miss.
+                self._memo.put(
+                    ticket.memo_key, ticket.spec.kind, outcome.value
+                )
+        finally:
+            # A failed cache write must not cost the caller its result.
+            settled = ticket._settle(outcome)
+        if not settled:
             return False
         with self._lock:
             self.counts[outcome.status] += 1
@@ -736,23 +753,16 @@ class JobService:
             return True
 
     def _after_settle(self, ticket: JobTicket, outcome: JobOutcome) -> None:
-        """Flight + memo transitions after one ticket settled.
+        """Flight transitions after one ticket settled.
 
         A settled waiter leaves its flight.  A settled leader releases
         the flight: success fans the value out to every waiter (settled
         ``coalesced``, each exactly once); failure or shed *promotes*
-        the next live waiter to leader and re-enqueues it.  Fresh
-        ``ok`` values are written through to the memo store.
+        the next live waiter to leader and re-enqueues it.
         """
         key = ticket.memo_key
         if key is None:
             return
-        if (
-            outcome.status == "ok"
-            and not outcome.cached
-            and self._memo is not None
-        ):
-            self._memo.put(key, ticket.spec.kind, outcome.value)
         settle_waiters: list[JobTicket] = []
         promoted: JobTicket | None = None
         with self._lock:

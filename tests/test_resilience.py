@@ -396,6 +396,20 @@ class TestWatchdog:
         r.time_s = 1.0
         r.phase_times[0] = float("inf")
         assert not is_finite_result(r)
+        bad_values = (float("nan"), float("inf"), float("-inf"))
+        r.phase_times = [1e-3] * 10 ** 5
+        assert is_finite_result(r)
+        for slot in (0, 50_000, 10 ** 5 - 1):
+            for bad in bad_values:
+                r.phase_times[slot] = bad
+                assert not is_finite_result(r), (slot, bad)
+            r.phase_times[slot] = 1e-3
+        for name in ("time_s", "flops", "dram_bytes"):
+            for bad in bad_values:
+                setattr(r, name, bad)
+                assert not is_finite_result(r), (name, bad)
+            setattr(r, name, 1.0)
+        assert is_finite_result(r)
 
     def test_cross_variant_bitwise_clean(self):
         from repro.exemplar import ExemplarProblem

@@ -15,12 +15,13 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.runner import GridPoint, run_grid
+from repro.bench.runner import GridPoint, GridResult, run_grid
 from repro.machine import engine_mode
 from repro.machine.simulator import SimResult
 from repro.machine.spec import IVY_DESKTOP
@@ -379,6 +380,245 @@ class TestMemoStore:
         ]
         gr[0] = None  # a partial grid must never replay as a hit
         assert encode_result("grid", gr) is None
+
+
+# ------------------------------------------------------- packed entries
+def timed_sim(times, time_s=1.5) -> SimResult:
+    return SimResult(
+        machine="m", variant="v", threads=2, time_s=time_s, flops=1e22,
+        dram_bytes=-0.0, phase_times=times,
+    )
+
+
+def bits(times) -> bytes:
+    """The IEEE-754 image of a phase-time list (NaN-safe comparison)."""
+    return array("d", times).tobytes()
+
+
+_PHASE_TIME = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.5e-310]
+    ),
+    st.integers(-(2 ** 53), 2 ** 53),
+)
+
+#: The put lines the parent commit (JSON-dict entries) wrote for
+#: ``_LOG_VALUES`` below; its evict lines follow from its byte charge.
+_PARENT_PUT_LINES = {
+    "estimate:a": (
+        '{"k": "estimate:a", "kind": "estimate", "op": "put", "v": {"sim": '
+        '{"dram_bytes": -0.0, "flops": 1e+22, "machine": "m", "phase_times": '
+        '[0.1, 2.5e-310, Infinity], "threads": 2, "time_s": 1.0, '
+        '"variant": "v"}}}\n'
+    ),
+    "simulate:b": (
+        '{"k": "simulate:b", "kind": "simulate", "op": "put", "v": {"sim": '
+        '{"dram_bytes": -0.0, "flops": 1e+22, "machine": "m", "phase_times": '
+        '[0.3333333333333333, -0.0, 0.3333333333333333, -0.0, '
+        '0.3333333333333333, -0.0], "threads": 2, "time_s": 2.0, '
+        '"variant": "v"}}}\n'
+    ),
+    "grid:c": (
+        '{"k": "grid:c", "kind": "grid", "op": "put", "v": {"grid_hash": '
+        '"gh", "sims": [{"dram_bytes": -0.0, "flops": 1e+22, "machine": "m", '
+        '"phase_times": [], "threads": 2, "time_s": 3.0, "variant": "v"}, '
+        '{"dram_bytes": -0.0, "flops": 1e+22, "machine": "m", "phase_times": '
+        '[NaN], "threads": 2, "time_s": 4.0, "variant": "v"}]}}\n'
+    ),
+    "verify:d": (
+        '{"k": "verify:d", "kind": "verify", "op": "put", "v": {"messages": '
+        '["ok: a", "FAIL: b"]}}\n'
+    ),
+}
+_PARENT_LOG = (
+    '{"kind": "memo-header", "version": 1}\n'
+    + _PARENT_PUT_LINES["estimate:a"]
+    + _PARENT_PUT_LINES["simulate:b"]
+    + _PARENT_PUT_LINES["grid:c"]
+    + '{"k": "estimate:a", "op": "evict"}\n'
+    + '{"k": "simulate:b", "op": "evict"}\n'
+    + _PARENT_PUT_LINES["verify:d"]
+)
+
+
+def _log_values() -> dict:
+    return {
+        "estimate:a": timed_sim([0.1, 2.5e-310, float("inf")], 1.0),
+        "simulate:b": timed_sim([1 / 3, -0.0] * 3, 2.0),
+        "grid:c": GridResult(
+            [timed_sim([], 3.0), timed_sim([float("nan")], 4.0)],
+            grid_hash="gh",
+        ),
+        "verify:d": ["ok: a", "FAIL: b"],
+    }
+
+
+def kind_of(key: str) -> str:
+    return key.split(":")[0]
+
+
+class TestPackedEntries:
+    """The in-memory form: bitwise round trip, real byte charges, and
+    the log format the JSON-dict store wrote."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_PHASE_TIME, max_size=40))
+    def test_hit_is_bitwise_the_cold_value(self, times):
+        cold = timed_sim(list(times))
+        store = MemoStore()
+        assert store.put("estimate:k", "estimate", cold)
+        a, b = store.get("estimate:k"), store.get("estimate:k")
+        for hit in (a, b):
+            assert bits(hit.phase_times) == bits(times)
+            assert type(hit.phase_times) is list
+            assert all(type(t) is float for t in hit.phase_times)
+            assert sim_result_to_dict(hit) | {"phase_times": None} == (
+                sim_result_to_dict(cold) | {"phase_times": None}
+            )
+            if not any(t != t for t in times):  # NaN != NaN by definition
+                assert hit == cold
+        assert a is not b and a.phase_times is not b.phase_times
+        a.phase_times.append(0.0)  # a caller's edit never reaches the cache
+        assert bits(store.get("estimate:k").phase_times) == bits(times)
+
+    def test_long_periodic_phase_times_pack_small(self):
+        cycle = [1e-3 / (i + 1) for i in range(25)]
+        cold = timed_sim(cycle * 4000)  # 10^5 floats, as a tiled run emits
+        store = MemoStore()
+        assert store.put("simulate:k", "simulate", cold)
+        assert store.get("simulate:k") == cold
+        assert store.current_bytes < 8 * len(cold.phase_times) // 50
+
+    def test_grid_and_verify_hits_are_fresh_and_equal(self):
+        store = MemoStore()
+        for key, value in _log_values().items():
+            assert store.put(key, kind_of(key), value)
+        a, b = store.get("grid:c"), store.get("grid:c")
+        assert a is not b and a[0] is not b[0]
+        assert a.grid_hash == "gh" and len(a) == 2
+        assert a[0] == timed_sim([], 3.0)
+        assert bits(a[1].phase_times) == bits([float("nan")])
+        msgs = store.get("verify:d")
+        assert msgs == ["ok: a", "FAIL: b"]
+        assert msgs is not store.get("verify:d")
+
+    def test_unpackable_result_is_skipped_not_raised(self, tmp_path):
+        path = str(tmp_path / "memo.jsonl")
+        with MemoStore(path) as store:
+            for bad in ("0.5", None, 10 ** 400):
+                assert not store.put(
+                    "estimate:bad", "estimate", timed_sim([0.5, bad])
+                )
+            assert len(store) == 0 and store.current_bytes == 0
+            assert store.written == 0 and store.get("estimate:bad") is None
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 1  # the header: nothing persisted
+
+    def test_parent_log_resumes_to_the_same_hits(self, tmp_path):
+        path = tmp_path / "memo.jsonl"
+        path.write_text(_PARENT_LOG, encoding="utf-8")
+        values = _log_values()
+        with MemoStore(str(path)) as store:
+            assert len(store) == 2
+            assert "estimate:a" not in store and "simulate:b" not in store
+            grid = store.get("grid:c")
+            assert [sim_result_to_dict(r) for r in grid][0] == (
+                sim_result_to_dict(values["grid:c"][0])
+            )
+            assert bits(grid[1].phase_times) == bits([float("nan")])
+            assert grid.grid_hash == "gh"
+            assert store.get("verify:d") == values["verify:d"]
+        assert path.read_text(encoding="utf-8") == _PARENT_LOG
+
+    def test_put_lines_are_byte_identical_to_the_parent(self, tmp_path):
+        path = tmp_path / "memo.jsonl"
+        with MemoStore(str(path)) as store:
+            for key, value in _log_values().items():
+                store.put(key, kind_of(key), value)
+            written = path.read_text(encoding="utf-8").splitlines(True)
+            assert written[1:] == list(_PARENT_PUT_LINES.values())
+            store.rotate()  # re-encoded from the packed entries
+            assert path.read_text(encoding="utf-8").splitlines(True) == written
+
+    def test_bytes_are_the_sum_of_surviving_charges(self, tmp_path):
+        values = {
+            f"estimate:{i}": timed_sim([float(i)] * (i * 50)) for i in range(8)
+        }
+        values |= _log_values()
+        values["estimate:x"] = timed_sim([9.0] * 7)
+        charge = {}
+        for key, value in values.items():
+            alone = MemoStore()
+            alone.put(key, kind_of(key), value)
+            charge[key] = alone.current_bytes
+        assert len(set(charge.values())) > 4  # entries differ in size
+
+        def check(store, order):
+            """``order``: every key ever put, least recently used first.
+            The survivors must be a suffix of it, charged exactly."""
+            alive = [k for k in order if k in store]
+            assert alive == order[len(order) - len(alive):]
+            assert store.current_bytes == sum(charge[k] for k in alive)
+            if store.limit_bytes is not None:
+                assert store.current_bytes <= store.limit_bytes
+            return alive
+
+        path = str(tmp_path / "memo.jsonl")
+        order = [k for k in values if k != "estimate:x"]
+        with MemoStore(path) as store:
+            for key in order:
+                store.put(key, kind_of(key), values[key])
+            assert check(store, order) == order
+            store.get(order[0])  # a hit refreshes recency ...
+            order.append(order.pop(0))
+            key = order[0]  # ... and so does a duplicate put
+            store.put(key, kind_of(key), values[key])
+            order.append(order.pop(0))
+            store.limit_bytes = store.current_bytes - 1
+            store.put("estimate:x", "estimate", values["estimate:x"])
+            order.append("estimate:x")
+            alive = check(store, order)
+            assert store.evictions == len(order) - len(alive) > 0
+        # The log records puts, not hits: a resumed store holds what the
+        # tombstones left, least recently *put* first.
+        by_put = [k for k in values if k in alive]
+        with MemoStore(path) as resumed:
+            assert check(resumed, by_put) == by_put
+        limit = sum(charge[k] for k in by_put[2:])
+        with MemoStore(path, limit_bytes=limit) as lowered:
+            assert check(lowered, by_put) == by_put[2:]
+            assert lowered.evictions == 2
+
+    def test_concurrent_puts_of_one_key_store_it_once(self):
+        threads_n, rounds = 4, 200
+        store = MemoStore()
+        value = timed_sim([0.25, 0.5] * 2000)
+        barrier = threading.Barrier(threads_n)
+        results: list[bool] = []
+
+        def worker():
+            for i in range(rounds):
+                barrier.wait(timeout=30.0)
+                results.append(store.put(f"estimate:{i}", "estimate", value))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(threads_n)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in workers)
+        assert results == [True] * (threads_n * rounds)
+        assert len(store) == rounds and store.written == rounds
+        alone = MemoStore()
+        alone.put("estimate:0", "estimate", value)
+        assert store.current_bytes == rounds * alone.current_bytes
 
 
 # ------------------------------------------------- rotation under concurrency
