@@ -8,6 +8,7 @@ into 12,288 boxes of 16³, 1,536 of 32³, 192 of 64³, or 24 of 128³.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -23,6 +24,16 @@ class _Entry:
     index: int
     box: Box
     rank: int
+
+
+class _HashedOnce(tuple):
+    """A tuple that computes its content hash once."""
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("h")
+        if h is None:
+            h = self.__dict__["h"] = super().__hash__()
+        return h
 
 
 class DisjointBoxLayout:
@@ -55,7 +66,12 @@ class DisjointBoxLayout:
                 raise ValueError("layout boxes must be non-empty")
             if not domain.contains(b):
                 raise ValueError(f"{b} not contained in domain {domain}")
-        self._check_disjoint(boxes)
+        # An aligned grid of equal boxes with no block coordinate used
+        # twice is disjoint by construction; only layouts without such
+        # an index pay the pairwise sweep.
+        self._grid_index = self._build_grid_index(domain, boxes)
+        if self._grid_index is None:
+            self._check_disjoint(boxes)
         if ranks is None:
             ranks = [i % max(1, num_ranks) for i in range(len(boxes))]
         if len(ranks) != len(boxes):
@@ -64,30 +80,42 @@ class DisjointBoxLayout:
         self._entries = [
             _Entry(i, b, r) for i, (b, r) in enumerate(zip(boxes, ranks))
         ]
-        self._grid_index = self._build_grid_index()
 
-    def _build_grid_index(self) -> dict | None:
+    @staticmethod
+    def _build_grid_index(domain: ProblemDomain, boxes: Sequence[Box]) -> dict | None:
         """Uniform-grid hash from block coordinates to layout index.
 
-        Only built when every box has the same size and is aligned to a
-        regular grid (the common case from :func:`decompose_domain`);
+        Only built when every box has the same size, is aligned to a
+        regular grid and no two boxes share a block coordinate (the
+        common case from :func:`decompose_domain`).  Such boxes cannot
+        overlap, so the index doubles as the disjointness proof, and it
         gives O(1) candidate lookup for exchange plan construction.
+        ``coords`` lists the block coordinate of every box in layout
+        order; ``counts`` is the per-axis block count when the boxes
+        tile the whole domain, else ``None``.
         """
-        first = self._entries[0].box
-        size = first.size()
-        origin = self.domain.box.lo
+        size = boxes[0].size()
+        origin = domain.box.lo.to_tuple()
         index: dict[tuple[int, ...], int] = {}
-        for e in self._entries:
-            if e.box.size() != size:
+        coords: list[tuple[int, ...]] = []
+        for b in boxes:
+            if b.size() != size:
                 return None
-            coords = []
-            for d in range(first.dim):
-                off = e.box.lo[d] - origin[d]
-                if off % size[d] != 0:
-                    return None
-                coords.append(off // size[d])
-            index[tuple(coords)] = e.index
-        return {"size": size, "origin": origin, "map": index}
+            offs = [l - o for l, o in zip(b.lo, origin)]
+            if any(off % s for off, s in zip(offs, size)):
+                return None
+            coord = tuple(off // s for off, s in zip(offs, size))
+            index[coord] = len(coords)
+            coords.append(coord)
+        if len(index) != len(boxes):
+            return None
+        counts, rest = zip(*map(divmod, domain.box.size(), size))
+        if any(rest) or math.prod(counts) != len(boxes):
+            counts = None
+        return {
+            "size": size, "origin": origin, "map": index,
+            "coords": coords, "counts": counts,
+        }
 
     def boxes_intersecting(self, region: Box) -> list[int]:
         """Layout indices of boxes intersecting ``region`` (unshifted)."""
@@ -118,11 +146,22 @@ class DisjointBoxLayout:
         rec(0, [])
         return out
 
+    def uniform_tiling(self) -> tuple | None:
+        """``(box size, per-axis block counts, block coordinate per box)``.
+
+        ``None`` unless equal aligned boxes cover the whole domain —
+        the layouts whose exchange plan repeats up to translation.
+        """
+        gi = self._grid_index
+        if gi is None or gi["counts"] is None:
+            return None
+        return gi["size"], gi["counts"], gi["coords"]
+
     @staticmethod
     def _check_disjoint(boxes: Sequence[Box]) -> None:
-        # Sort by low corner to prune comparisons; layouts here are at
-        # most tens of thousands of boxes, and most pairs are culled by
-        # the first-coordinate ordering.
+        # Sort by low corner so pairs apart along the first axis are
+        # never compared; within one first-axis slab the sweep is
+        # quadratic.  Reached only by layouts without a grid index.
         order = sorted(range(len(boxes)), key=lambda i: boxes[i].lo.to_tuple())
         for pos, i in enumerate(order):
             bi = boxes[i]
@@ -165,34 +204,41 @@ class DisjointBoxLayout:
         """Total cell count across all boxes."""
         return sum(e.box.num_points() for e in self._entries)
 
+    def geometry_key(self) -> tuple:
+        """Hashable rank-free content key: the domain and every box.
+
+        Hashes its boxes once; :meth:`with_ranks` clones share it, so a
+        rank sweep over one geometry never re-hashes the boxes.
+        """
+        gk = self.__dict__.get("_gkey")
+        if gk is None:
+            gk = _HashedOnce((self.domain, tuple(e.box for e in self._entries)))
+            self.__dict__["_gkey"] = gk
+        return gk
+
     def structure_key(self) -> tuple:
         """Hashable content key: equal keys mean interchangeable layouts.
 
         Covers everything exchange planning can observe — the domain
-        (extent and periodicity) and every box with its rank, in layout
+        (extent and periodicity), every box and its rank, in layout
         index order.  Two layouts with equal keys produce identical
         copy plans for any ghost width, which is what lets the copier
         cache share plans across independently constructed but
-        content-equal layouts.  Computed once (layouts are immutable).
+        content-equal layouts.
         """
-        sk = self.__dict__.get("_skey")
-        if sk is None:
-            sk = (
-                self.domain,
-                tuple((e.box, e.rank) for e in self._entries),
-            )
-            self.__dict__["_skey"] = sk
-        return sk
+        return (self.geometry_key(), tuple(e.rank for e in self._entries))
 
     def with_ranks(self, ranks: Sequence[int]) -> "DisjointBoxLayout":
         """A layout over the same boxes with a new rank assignment.
 
         Boxes were validated (disjointness, containment) when this
         layout was built and are immutable, so the copy skips the
-        O(n log n) disjointness re-check — rank sweeps over one
-        geometry (the cluster scaling model re-ranks a layout once per
-        node count) stay cheap.  The grid index is shared; the content
-        key is recomputed lazily since ranks participate in it.
+        re-check (the grid index, or for an irregular layout the sweep
+        that is quadratic within a coordinate slab) and rank sweeps
+        over one geometry (the cluster scaling model re-ranks a layout
+        once per node count) stay cheap.  The grid index and the
+        geometry key are shared; only the rank half of the content key
+        is new.
         """
         if len(ranks) != len(self._entries):
             raise ValueError("ranks must match boxes")
@@ -203,6 +249,7 @@ class DisjointBoxLayout:
             for e, r in zip(self._entries, ranks)
         ]
         clone._grid_index = self._grid_index
+        clone._gkey = self.geometry_key()
         return clone
 
     def neighbors(self, index: int, ghost: int) -> list[int]:

@@ -20,9 +20,9 @@ All policies conserve boxes and cells exactly — every box lands on
 exactly one rank — which the ``cluster`` verify family asserts.
 
 Scaling sweeps revisit one geometry under many rank counts, so the
-box-grid layout (whose construction validates disjointness in
-O(n log n)) is built once per geometry and re-ranked cheaply through
-:meth:`DisjointBoxLayout.with_ranks`.
+box-grid layout (validated once: containment per box, disjointness
+through the grid index in O(n)) is built once per geometry and re-ranked
+cheaply through :meth:`DisjointBoxLayout.with_ranks`.
 """
 
 from __future__ import annotations
@@ -106,34 +106,31 @@ def _factor_rank_grid(num_ranks: int, counts: tuple[int, ...]) -> tuple[int, ...
 def surface_rank_map(
     base: DisjointBoxLayout, box_size: int, num_ranks: int
 ) -> list[int]:
-    """Surface-minimizing box -> rank map over the uniform box grid."""
+    """Surface-minimizing box -> rank map over the uniform box grid.
+
+    ``base`` is in :func:`decompose_domain` order (first axis fastest,
+    last slowest), as every layout this module builds is.
+    """
     domain = base.domain
     counts = tuple(
         domain.box.size(d) // box_size for d in range(domain.dim)
     )
     grid = rank_grid(num_ranks, counts)
-    n = len(base.boxes)
+    n = len(base)
     if not grid:
         # No rank grid fits (e.g. a prime rank count larger than every
         # axis): fall back to the contiguous block split, which is
         # always well defined.
         return [min(i * num_ranks // n, num_ranks - 1) for i in range(n)]
-    lo = domain.box.lo
-    ranks = []
-    for entry_box in base.boxes:
-        coord = tuple(
-            (entry_box.lo[d] - lo[d]) // box_size for d in range(len(counts))
-        )
-        q = tuple(
-            min(coord[d] * grid[d] // counts[d], grid[d] - 1)
-            for d in range(len(counts))
-        )
-        # Flatten the rank coordinate, last axis slowest to match the
-        # box ordering.
-        r = 0
-        for d in reversed(range(len(grid))):
-            r = r * grid[d] + q[d]
-        ranks.append(r)
+    # A box's rank is the flattened rank-grid coordinate (last axis
+    # slowest, matching the box ordering), a sum of one term per axis:
+    # tabulate each axis' term and add them up in box order.
+    ranks = [0]
+    stride = 1
+    for g, m in zip(grid, counts):
+        terms = [min(c * g // m, g - 1) * stride for c in range(m)]
+        ranks = [r + t for t in terms for r in ranks]
+        stride *= g
     return ranks
 
 
@@ -146,17 +143,15 @@ class RankDecomposition:
     policy: str
 
     def boxes_per_rank(self) -> list[int]:
-        return [len(self.layout.boxes_on_rank(r)) for r in range(self.num_ranks)]
+        return self._per_rank(lambda i: 1)
 
     def cells_per_rank(self) -> list[int]:
-        out = []
-        for r in range(self.num_ranks):
-            out.append(
-                sum(
-                    self.layout.box(i).num_points()
-                    for i in self.layout.boxes_on_rank(r)
-                )
-            )
+        return self._per_rank(lambda i: self.layout.box(i).num_points())
+
+    def _per_rank(self, weight) -> list[int]:
+        out = [0] * self.num_ranks
+        for i in self.layout:
+            out[self.layout.rank(i)] += weight(i)
         return out
 
     def max_boxes_on_rank(self) -> int:

@@ -12,14 +12,16 @@ them).
 
 The work is split in two so each half is cached on what it depends on
 (:mod:`repro.util.cache`): a rank-free *geometry tally* of per box-pair
-point counts, and the per-rank *plan* folded from it.
+point counts (:func:`repro.box.copier.pair_points` — the copier's plan
+rows, counted without materialising a copy item), and the per-rank
+*plan* folded from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..box.copier import ExchangeCopier
+from ..box.copier import pair_points
 from ..box.layout import DisjointBoxLayout
 from ..util.cache import BoundedCache
 
@@ -84,21 +86,16 @@ _PLAN_CACHE = BoundedCache("halo_cache", 256)
 
 
 def _pair_tally(layout: DisjointBoxLayout, ghost: int) -> dict[tuple[int, int], int]:
-    def build() -> dict[tuple[int, int], int]:
-        tally: dict[tuple[int, int], int] = {}
-        for item in ExchangeCopier(layout, ghost).items:
-            pair = (item.src, item.dst)
-            tally[pair] = tally.get(pair, 0) + item.num_points
-        return tally
-
     return _TALLY_CACHE.get_or_build(
-        (layout.domain, tuple(layout.boxes), int(ghost)), build
+        (layout.geometry_key(), int(ghost)),
+        lambda: pair_points(layout, ghost),
     )
 
 
 def _fold(layout: DisjointBoxLayout, ghost: int) -> HaloPlan:
     tally = _pair_tally(layout, ghost)
-    nranks = max((layout.rank(i) for i in layout), default=-1) + 1
+    rank_of = [layout.rank(i) for i in layout]
+    nranks = max(rank_of, default=-1) + 1
     send = [0] * nranks
     recv = [0] * nranks
     local = [0] * nranks
@@ -107,7 +104,7 @@ def _fold(layout: DisjointBoxLayout, ghost: int) -> HaloPlan:
     off_rank = 0
     for (src, dst), points in tally.items():
         total += points
-        rs, rd = layout.rank(src), layout.rank(dst)
+        rs, rd = rank_of[src], rank_of[dst]
         if rs == rd:
             local[rs] += points
         else:

@@ -112,8 +112,7 @@ class NodeGraph:
         self.plan: HaloPlan = halo_plan(self.decomposition.layout, self.ghost)
         dim = len(self.domain_cells)
         tasks = []
-        for r in range(cluster.nodes):
-            k = len(self.decomposition.layout.boxes_on_rank(r))
+        for r, k in enumerate(self.decomposition.boxes_per_rank()):
             tasks.append(
                 RankTask(
                     rank=r,

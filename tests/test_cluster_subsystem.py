@@ -29,6 +29,7 @@ from repro.cluster import (
     rank_workload_cells,
     weak_scaling,
 )
+from repro.cluster.decompose import rank_grid
 from repro.machine import (
     MAGNY_COURS,
     SANDY_BRIDGE,
@@ -99,6 +100,27 @@ class TestDecompose:
             <= plans["round_robin"].off_rank_points
         )
         assert plans["surface"].off_rank_points < plans["round_robin"].off_rank_points
+
+    def test_surface_map_matches_per_box_coordinates(self):
+        # The per-axis tables against the rank worked out box by box
+        # from each box's own coordinates, and the one-pass per-rank
+        # counts against boxes_on_rank.
+        for cells in ((64, 48, 32), (48, 80), (208, 16, 16), (64, 32, 32)):
+            counts = [c // 16 for c in cells]
+            for ranks in (1, 2, 3, 5, 6, 7, 8, 12):
+                dec = decompose_ranks(cells, 16, ranks, "surface")
+                layout = dec.layout
+                grid = rank_grid(ranks, tuple(counts))
+                if grid:
+                    for i in layout:
+                        r = 0
+                        for d in reversed(range(len(cells))):
+                            q = layout.box(i).lo[d] // 16 * grid[d] // counts[d]
+                            r = r * grid[d] + min(q, grid[d] - 1)
+                        assert layout.rank(i) == r
+                on_rank = [layout.boxes_on_rank(r) for r in range(ranks)]
+                assert dec.boxes_per_rank() == [len(b) for b in on_rank]
+                assert dec.cells_per_rank() == [16 ** len(cells) * len(b) for b in on_rank]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

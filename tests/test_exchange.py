@@ -1,15 +1,47 @@
 """Integration tests for ExchangeCopier and LevelData ghost exchange."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.box import (
     Box,
+    CopyItem,
+    DisjointBoxLayout,
     ExchangeCopier,
     LevelData,
     ProblemDomain,
     decompose_domain,
 )
+from repro.box.copier import _box_copies, pair_points
+from repro.cluster import POLICIES, decompose_ranks, halo_plan
+
+
+def enumerate_items(layout, ghost):
+    """The plan by per-box enumeration: the oracle for the class plan."""
+    return [
+        CopyItem(src, dst, src_region, dst_region)
+        for dst in layout
+        for src, src_region, dst_region in _box_copies(layout, ghost, dst)
+    ]
+
+
+def folded_tally(items):
+    tally = {}
+    for item in items:
+        pair = (item.src, item.dst)
+        tally[pair] = tally.get(pair, 0) + item.num_points
+    return tally
+
+
+def assert_plan_matches_enumeration(layout, ghost):
+    items = ExchangeCopier(layout, ghost).items
+    assert items == enumerate_items(layout, ghost)
+    # Same pairs, same counts, same insertion order.
+    assert list(pair_points(layout, ghost).items()) == list(
+        folded_tally(items).items()
+    )
 
 
 def _level(n=8, box=4, dim=3, ncomp=1, ghost=2, periodic=True):
@@ -74,6 +106,74 @@ class TestCopierPlan:
         ld = _level(dim=2)
         copier = ld.copier()
         assert copier.bytes_per_exchange(ncomp=3) == copier.total_ghost_points() * 24
+
+
+#: Boxes per axis: 1 (self-image), 2 and 3 (wrap-around neighbours
+#: coincide) and enough for a class with several members at every ghost
+#: width tried (2k + 2 boxes, k = ceil(ghost / box size)).
+_GRIDS = [
+    (1,), (2,), (3,), (8,),
+    (1, 4), (2, 3), (8, 3),
+    (1, 2, 3), (6, 1, 4), (4, 2, 3),
+]
+
+
+class TestClassPlanEqualsEnumeration:
+    """Plans built once per position class equal per-box enumeration."""
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=str)
+    def test_uniform_every_periodicity(self, grid):
+        # Box size 2: ghost below, equal to and above it; two boxes and
+        # more deep on the grids cheap enough for it.
+        dim = len(grid)
+        lo = (-3, 0, 5)[:dim]
+        extent = tuple(2 * g for g in grid)
+        ghosts = (1, 2, 3) if dim == 3 else (1, 2, 3, 4, 5)
+        for periodic in itertools.product((False, True), repeat=dim):
+            domain = ProblemDomain(Box.from_extents(lo, extent), periodic=periodic)
+            layout = decompose_domain(domain, 2)
+            for ghost in ghosts:
+                assert_plan_matches_enumeration(layout, ghost)
+
+    def test_anisotropic_boxes(self):
+        domain = ProblemDomain(Box.from_extents((0, 0, 0), (8, 15, 4)))
+        layout = decompose_domain(domain, (2, 3, 4))
+        for ghost in (1, 2, 3, 5):
+            assert_plan_matches_enumeration(layout, ghost)
+
+    def test_shuffled_uniform_layout(self):
+        # A tiling whose layout order is not the block order.
+        domain = ProblemDomain(Box.from_extents((0, 0), (20, 12)))
+        boxes = decompose_domain(domain, 4).boxes
+        layout = DisjointBoxLayout(domain, boxes[::-2] + boxes[-2::-2])
+        assert layout.uniform_tiling() is not None
+        for ghost in (1, 4, 6):
+            assert_plan_matches_enumeration(layout, ghost)
+
+    def test_irregular_layout(self):
+        domain = ProblemDomain(Box.from_extents((0, 0), (12, 8)))
+        layout = DisjointBoxLayout(
+            domain,
+            [
+                Box.from_extents((0, 0), (2, 8)),
+                Box.from_extents((2, 0), (10, 4)),
+                Box.from_extents((2, 4), (5, 4)),
+                Box.from_extents((7, 4), (5, 4)),
+            ],
+        )
+        assert layout.uniform_tiling() is None
+        for ghost in (1, 2, 5):
+            assert_plan_matches_enumeration(layout, ghost)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_halo_plan_totals_match_copier(self, policy):
+        for cells, ranks in (((64, 48, 32), 6), ((48, 48), 4), ((96, 32, 16), 5)):
+            layout = decompose_ranks(cells, 16, ranks, policy).layout
+            for ghost in (1, 2, 17):
+                plan = halo_plan(layout, ghost)
+                copier = ExchangeCopier(layout, ghost)
+                assert plan.total_points == copier.total_ghost_points()
+                assert plan.off_rank_points == copier.off_rank_points()
 
 
 class TestExchangeCorrectness:

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.box import Box, DisjointBoxLayout, ProblemDomain, decompose_domain
+from repro.box import (
+    Box,
+    DisjointBoxLayout,
+    ExchangeCopier,
+    ProblemDomain,
+    decompose_domain,
+)
+
+from .test_exchange import enumerate_items
 
 
 def _domain(n=8, dim=3):
@@ -43,9 +51,39 @@ class TestDecompose:
 
 class TestValidation:
     def test_overlap_rejected(self):
+        # Equal sizes offset by less than a box: unaligned, so no grid
+        # index and the sweep decides.
         d = _domain(8, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="boxes overlap"):
             DisjointBoxLayout(d, [Box.cube(4, 2), Box.cube(4, 2, lo=2)])
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            # Same block coordinate twice: the grid index must not
+            # certify them (the second would overwrite the first's slot).
+            [Box.cube(4, 2), Box.cube(4, 2)],
+            [Box.cube(4, 2), Box.cube(4, 2, lo=4), Box.cube(4, 2)],
+            [Box.cube(4, 2), Box.cube(2, 2, lo=3)],
+        ],
+        ids=["identical", "identical-apart", "mixed-size"],
+    )
+    def test_overlap_never_certified(self, boxes):
+        with pytest.raises(ValueError, match="boxes overlap"):
+            DisjointBoxLayout(_domain(8, 2), boxes)
+
+    def test_partial_uniform_layout_builds(self):
+        # Aligned equal boxes that do not cover the domain: indexed
+        # (hence proven disjoint) but not a tiling, so every box plans
+        # its own copies.
+        d = ProblemDomain(Box.from_extents((0, 0), (12, 8)))
+        boxes = decompose_domain(d, 4).boxes
+        lay = DisjointBoxLayout(d, boxes[:4] + boxes[5:])
+        assert lay._grid_index is not None
+        assert lay.uniform_tiling() is None
+        assert decompose_domain(d, 4).uniform_tiling() is not None
+        for ghost in (1, 2, 5):
+            assert ExchangeCopier(lay, ghost).items == enumerate_items(lay, ghost)
 
     def test_outside_domain_rejected(self):
         d = _domain(4, 2)

@@ -13,6 +13,7 @@ from repro.bench import GridPoint, run_grid, set_grid_workers, time_variant
 from repro.bench.__main__ import main as bench_main
 from repro.box import Box, LevelData, ProblemDomain, decompose_domain
 from repro.box.copier import clear_copier_cache, shared_copier
+from repro.cluster import clear_halo_cache, decompose_ranks, halo_plan
 from repro.machine import SANDY_BRIDGE, build_workload, estimate_workload
 from repro.machine.simulator import clear_phase_cost_cache
 from repro.machine.workload import Phase, WorkItem, clear_workload_cache
@@ -154,6 +155,43 @@ class TestCopierCache:
         one = decompose_domain(domain, 4, num_ranks=1)
         two = decompose_domain(domain, 4, num_ranks=2)
         assert shared_copier(one, 2) is not shared_copier(two, 2)
+
+
+class TestPlanWorkBound:
+    """Plans are built from structure: counted calls, not a stopwatch."""
+
+    @staticmethod
+    def _count(monkeypatch, cls, name):
+        calls = []
+        real = getattr(cls, name)
+
+        def counted(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_paper_layout_needs_no_intersection(self, monkeypatch):
+        # 12 288 boxes (the paper's 16^3 split, scaled by 1/8 per axis):
+        # the grid index is the disjointness proof.
+        intersects = self._count(monkeypatch, Box, "intersect")
+        domain = ProblemDomain(Box.from_extents((0, 0, 0), (64, 48, 32)))
+        assert len(decompose_domain(domain, 2)) == 12288
+        assert not intersects
+
+    def test_halo_plan_enumerates_class_representatives_only(self, monkeypatch):
+        clear_halo_cache()
+        shifts = self._count(monkeypatch, ProblemDomain, "periodic_shifts")
+        cells = (256, 192, 128)  # 16 x 12 x 8 boxes of 16, periodic
+        first = halo_plan(decompose_ranks(cells, 16, 8).layout, 2)
+        assert 0 < len(shifts) <= 27  # not once per each of 1 536 boxes
+        del shifts[:]
+        # Another rank map over the same geometry refolds the tally.
+        second = halo_plan(decompose_ranks(cells, 16, 64).layout, 2)
+        assert not shifts
+        assert first.total_points == second.total_points
+        assert first.off_rank_points < second.off_rank_points
 
 
 class TestSharedPool:

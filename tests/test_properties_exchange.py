@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.box import Box, LevelData, ProblemDomain, decompose_domain
+from repro.box import (
+    Box,
+    DisjointBoxLayout,
+    LevelData,
+    ProblemDomain,
+    decompose_domain,
+)
+
+from .test_exchange import assert_plan_matches_enumeration
 
 
 @st.composite
@@ -66,3 +74,30 @@ def test_exchange_never_alters_valid_cells(cfg, seed):
     before = ld.to_global_array()
     ld.exchange()
     assert np.array_equal(ld.to_global_array(), before)
+
+
+@st.composite
+def plan_configs(draw):
+    dim = draw(st.integers(1, 3))
+    axis = st.tuples(st.integers(1, 6 if dim < 3 else 4), st.integers(1, 3))
+    counts, sizes = zip(*(draw(axis) for _ in range(dim)))
+    periodic = tuple(draw(st.booleans()) for _ in range(dim))
+    lo = tuple(draw(st.integers(-4, 4)) for _ in range(dim))
+    ghost = draw(st.integers(1, 2 * max(sizes) + 1))
+    drop = draw(st.one_of(st.none(), st.integers(0, 10**6)))
+    return counts, sizes, periodic, lo, ghost, drop
+
+
+@settings(max_examples=25, deadline=None)
+@given(plan_configs())
+def test_class_plan_equals_per_box_enumeration(cfg):
+    counts, sizes, periodic, lo, ghost, drop = cfg
+    extent = tuple(c * s for c, s in zip(counts, sizes))
+    domain = ProblemDomain(Box.from_extents(lo, extent), periodic=periodic)
+    layout = decompose_domain(domain, sizes)
+    if drop is not None and len(layout) > 1:
+        # One box missing: still indexed, no longer a tiling.
+        boxes = layout.boxes
+        del boxes[drop % len(boxes)]
+        layout = DisjointBoxLayout(domain, boxes)
+    assert_plan_matches_enumeration(layout, ghost)
