@@ -16,7 +16,7 @@ so a scaling figure decomposes exactly into the three causes the paper
 cares about: on-node work, interconnect traffic, and load imbalance
 from uneven box counts.
 
-:func:`step_cost` keeps the seed ``repro.machine.cluster`` contract
+:func:`step_cost` keeps the seed single-module model's contract
 (same signature, same ValueErrors, ``total_s == compute_s +
 exchange_s`` on the divisible configurations it accepts) while deriving
 exchange volumes from the real halo plan instead of the closed-form
@@ -58,8 +58,8 @@ __all__ = [
 class StepCost:
     """Per-time-step cost attribution.
 
-    The first four fields keep the seed dataclass shape (the compat
-    shim re-exports this class); ``imbalance_s`` is new and defaults to
+    The first four fields keep the seed dataclass shape (``repro.machine``
+    re-exports this class); ``imbalance_s`` is new and defaults to
     zero, so seed-era constructors and the ``total_s == compute_s +
     exchange_s`` property they tested are unchanged.
     """
@@ -191,7 +191,7 @@ def step_cost(
 ) -> StepCost:
     """Per-step cost of one node (the seed contract, real halo volumes).
 
-    Keeps the seed ``repro.machine.cluster.step_cost`` behaviour: the
+    Keeps the seed model's ``step_cost`` behaviour: the
     domain must divide evenly into boxes and boxes across nodes (block
     assignment, ValueError otherwise); compute is the node's slab when
     the slowest axis splits cleanly, else the whole-level estimate

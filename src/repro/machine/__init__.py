@@ -11,8 +11,7 @@ from .cache import (
     SetAssociativeCache,
     StackDistanceProfile,
 )
-# Re-exported from their new home (repro.cluster); the old
-# repro.machine.cluster module remains as a deprecation shim.
+# Re-exported from their home, repro.cluster.
 from ..cluster.scaling import StepCost, step_cost
 from ..cluster.topology import GEMINI, ClusterSpec, InterconnectSpec
 from .counters import BandwidthProfile, BandwidthSample, profile_workload

@@ -11,8 +11,9 @@ closed* under load instead of degrading unpredictably:
 * :mod:`repro.serve.breaker` — deterministic per-(machine, engine)
   circuit breakers;
 * :mod:`repro.serve.service` — admission control, deadline
-  propagation, the degradation ladder (simulate -> estimate ->
-  journal), and hung-worker supervision;
+  propagation, the degradation ladder (simulate -> estimate; repeats
+  are served from the memo store before it), and hung-worker
+  supervision;
 * :mod:`repro.serve.shards` — the crash-safe multi-process shard pool
   (``shards=N``): WAL-backed leases, heartbeat supervision, kill -9
   absorption, orphan-lease recovery;

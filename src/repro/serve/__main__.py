@@ -79,10 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         help="serve the grid N times (repeats exercise memo hits)",
     )
     parser.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable single-flight coalescing of identical in-flight jobs",
-    )
-    parser.add_argument(
         "--adaptive", action="store_true",
         help="enable adaptive overload control (AIMD limiter, latency "
              "tracking, brownout shedding)",
@@ -106,26 +102,12 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="print the stats dict as JSON"
     )
     args = parser.parse_args(argv)
-    if args.shards < 0:
-        parser.error(f"--shards must be >= 0, got {args.shards}")
-    if args.shard_wal and args.shards == 0:
+    if args.shard_wal and args.shards < 1:
         parser.error("--shard-wal requires --shards >= 1")
     if args.memo_bytes is not None and not args.memo:
         parser.error("--memo-bytes requires --memo")
     if args.repeat < 1:
         parser.error(f"--repeat must be >= 1, got {args.repeat}")
-    if args.retry_budget is not None and args.retry_budget < 0:
-        parser.error(f"--retry-budget must be >= 0, got {args.retry_budget}")
-
-    adaptive = None
-    if (
-        args.adaptive or args.hedge or args.slo_ms is not None
-        or args.retry_budget is not None
-    ):
-        kw = {"hedge": args.hedge, "retry_budget_ratio": args.retry_budget}
-        if args.slo_ms is not None:
-            kw["slo_ms"] = args.slo_ms
-        adaptive = AdaptiveConfig(**kw)
 
     plan = None
     if args.chaos_seed is not None:
@@ -136,6 +118,17 @@ def main(argv: list[str] | None = None) -> int:
     points = scaling_grid_points(args.figure)
     deadline_s = None if args.deadline_ms is None else args.deadline_ms / 1000.0
     try:
+        # Numeric ranges (--shards, --retry-budget, ...) are checked once,
+        # by the constructors; only flag relationships are checked above.
+        adaptive = None
+        if (
+            args.adaptive or args.hedge or args.slo_ms is not None
+            or args.retry_budget is not None
+        ):
+            kw = {"hedge": args.hedge, "retry_budget_ratio": args.retry_budget}
+            if args.slo_ms is not None:
+                kw["slo_ms"] = args.slo_ms
+            adaptive = AdaptiveConfig(**kw)
         service = JobService(
             workers=args.workers,
             queue_limit=args.queue_limit,
@@ -148,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
                 True if args.memo == "mem" else args.memo or None
             ),
             memo_limit_bytes=args.memo_bytes,
-            coalesce=not args.no_coalesce,
             adaptive=adaptive,
         )
     except ValueError as exc:

@@ -27,8 +27,8 @@ rather than a static enumeration:
       attempts == units + spends <= units * (1 + ratio)
 
   since total deposits never exceed ``units * ratio`` and spends never
-  exceed deposits (the bucket starts at ``initial`` and is capped, both
-  of which only tighten the bound when ``initial <= 0``).  A denied
+  exceed deposits (the bucket starts empty and is capped, which only
+  tightens the bound).  A denied
   retry fails with the distinct kind ``"retry_budget"`` and is exempt
   from circuit-breaker counting — budget exhaustion is a load signal,
   not an engine fault.
@@ -69,8 +69,6 @@ class AdaptiveConfig:
     slo_ms: float = 100.0
     #: Per-kind SLO overrides, e.g. ``{"grid": 2000.0}``.
     slo_by_kind: Mapping[str, float] = field(default_factory=dict)
-    #: Enable the AIMD concurrency limiter.
-    limiter: bool = True
     min_limit: int = 1
     #: Ceiling for the limit; ``None`` means the service's worker count.
     max_limit: int | None = None
@@ -82,16 +80,11 @@ class AdaptiveConfig:
     #: Minimum seconds between multiplicative decreases (one burst of
     #: breaches = one backoff).
     cooldown_s: float = 0.05
-    #: EWMA smoothing for the per-kind service-time estimate.
-    ewma_alpha: float = 0.2
-    #: Ring size for the windowed p95.
-    window: int = 64
     #: Observations of a kind required before its estimate is trusted.
     min_samples: int = 5
     #: Deadline-aware brownout: shed at admission when the deadline
-    #: cannot cover ``brownout_factor *`` the observed service time.
+    #: cannot cover the observed service time.
     brownout: bool = True
-    brownout_factor: float = 1.0
     #: Launch one hedge per flight once the leader has been executing
     #: longer than ``hedge_factor * p95`` of its kind.
     hedge: bool = False
@@ -99,10 +92,6 @@ class AdaptiveConfig:
     hedge_min_samples: int = 8
     #: Retry-budget token ratio; ``None`` disables retry budgets.
     retry_budget_ratio: float | None = None
-    #: Token-bucket cap (banked headroom never exceeds this).
-    retry_budget_cap: float = 20.0
-    #: Starting balance (0 keeps the amplification bound exact).
-    retry_budget_initial: float = 0.0
 
     def __post_init__(self):
         if self.min_limit < 1:
@@ -351,15 +340,13 @@ class RetryBudget:
 
     ``deposit()`` banks ``ratio`` tokens per first attempt (capped);
     ``try_spend()`` withdraws one whole token per speculative attempt —
-    a retry or a hedge launch.  Because spends never exceed deposits
-    (plus the non-positive-by-default ``initial``), total attempts are
-    bounded by ``units * (1 + ratio)``; :meth:`amplification_bound_ok`
-    checks exactly that from the bucket's own lifetime counters.
+    a retry or a hedge launch.  The bucket starts empty, so spends never
+    exceed deposits and total attempts are bounded by ``units * (1 +
+    ratio)``; :meth:`amplification_bound_ok` checks exactly that from
+    the bucket's own lifetime counters.
     """
 
-    def __init__(
-        self, ratio: float = 0.1, cap: float = 20.0, initial: float = 0.0
-    ):
+    def __init__(self, ratio: float = 0.1, cap: float = 20.0):
         if ratio < 0:
             raise ValueError("ratio must be >= 0")
         if cap <= 0:
@@ -367,8 +354,7 @@ class RetryBudget:
         self.ratio = float(ratio)
         self.cap = float(cap)
         self._lock = threading.Lock()
-        self._tokens = min(float(initial), self.cap)
-        self.initial = self._tokens
+        self._tokens = 0.0
         #: Lifetime counters (the amplification proof reads these).
         self.units = 0
         self.spent = 0
@@ -395,12 +381,11 @@ class RetryBudget:
             return self._tokens
 
     def amplification_bound_ok(self) -> bool:
-        """``units + spent <= units * (1 + ratio) + max(initial, 0)``."""
+        """``units + spent <= units * (1 + ratio)``."""
         with self._lock:
             return (
                 self.units + self.spent
-                <= self.units * (1.0 + self.ratio) + max(self.initial, 0.0)
-                + 1e-9
+                <= self.units * (1.0 + self.ratio) + 1e-9
             )
 
     def stats(self) -> dict:

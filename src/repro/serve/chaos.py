@@ -808,28 +808,46 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"--duplicate-rate must be in [0, 1], got {args.duplicate_rate}"
         )
-    if args.shards < 0:
-        parser.error(f"--shards must be >= 0, got {args.shards}")
-    if args.shards == 0 and (args.kill_rate > 0 or args.wal):
+    if args.shards < 1 and (args.kill_rate > 0 or args.wal):
         parser.error("--kill-rate/--wal require --shards >= 1")
 
-    if args.overload:
-        report = run_overload_soak(
-            args.seed,
-            duration_cases=args.duration_cases,
-            workers=args.workers,
-            slo_ms=args.slo_ms,
-            retry_budget_ratio=args.retry_budget_ratio,
-            shards=args.shards,
-        )
+    try:
+        if args.overload:
+            report = run_overload_soak(
+                args.seed,
+                duration_cases=args.duration_cases,
+                workers=args.workers,
+                slo_ms=args.slo_ms,
+                retry_budget_ratio=args.retry_budget_ratio,
+                shards=args.shards,
+            )
+        else:
+            report = run_soak(
+                args.seed,
+                duration_cases=args.duration_cases,
+                workers=args.workers,
+                queue_limit=args.queue_limit,
+                fault_rate=args.fault_rate,
+                shards=args.shards,
+                kill_rate=args.kill_rate,
+                wal_path=args.wal,
+                duplicate_rate=args.duplicate_rate,
+                memo=args.memo,
+            )
+    except ValueError as exc:
+        # A numeric range the service's constructors own (--shards,
+        # --workers, --retry-budget-ratio, ...), checked there once.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.metrics_out:
         payload = {
             "report": report.to_dict(),
             "metrics": default_registry().snapshot(),
         }
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, default=str)
-        counts = report.stats["counts"]
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, default=str)
+    counts = report.stats["counts"]
+    if args.overload:
         ov = report.stats["overload"]
         ad = report.stats.get("adaptive") or {}
         print(
@@ -850,62 +868,36 @@ def main(argv: list[str] | None = None) -> int:
             f"rounds={ov['recovery_rounds']}  hedges={ad.get('hedges')}  "
             f"attempts={ad.get('attempts')}/{ad.get('attempt_units')} units"
         )
-        for name, held in report.invariants.items():
-            print(f"  invariant {name}: {'PASS' if held else 'FAIL'}")
-        if not report.ok:
-            for v in report.violations:
-                print(f"  violation: {v}", file=sys.stderr)
-            return 1
-        return 0
-
-    report = run_soak(
-        args.seed,
-        duration_cases=args.duration_cases,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        fault_rate=args.fault_rate,
-        shards=args.shards,
-        kill_rate=args.kill_rate,
-        wal_path=args.wal,
-        duplicate_rate=args.duplicate_rate,
-        memo=args.memo,
-    )
-    payload = {
-        "report": report.to_dict(),
-        "metrics": default_registry().snapshot(),
-    }
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
-    counts = report.stats["counts"]
-    print(
-        f"chaos soak seed={report.seed} cases={report.cases}: "
-        f"submitted={counts['submitted']} ok={counts['ok']} "
-        f"shed={counts['shed']} degraded={counts['degraded']} "
-        f"failed={counts['failed']} coalesced={counts['coalesced']} "
-        f"replaced_workers={report.stats['workers']['replaced']}"
-    )
-    co = report.stats.get("coalesce") or {}
-    ms = report.stats.get("memo")
-    if co.get("coalesced") or co.get("promotions") or ms:
-        hits = (ms or {}).get("hits", 0)
-        misses = (ms or {}).get("misses", 0)
+    else:
         print(
-            f"  coalesce: coalesced={co.get('coalesced', 0)} "
-            f"promotions={co.get('promotions', 0)} "
-            f"max_live_per_key={co.get('max_live_per_key', 0)} "
-            f"memo_hits={hits} memo_misses={misses}"
+            f"chaos soak seed={report.seed} cases={report.cases}: "
+            f"submitted={counts['submitted']} ok={counts['ok']} "
+            f"shed={counts['shed']} degraded={counts['degraded']} "
+            f"failed={counts['failed']} coalesced={counts['coalesced']} "
+            f"replaced_workers={report.stats['workers']['replaced']}"
         )
-    sh = report.stats.get("shards")
-    if sh:
-        wal = report.stats.get("wal", {})
-        print(
-            f"  shards: target={sh['target']} "
-            f"spawned={sh['spawned_total']} restarts={sh['restarts_total']} "
-            f"leases={sh['leases']['granted']} "
-            f"orphaned={sh['leases']['orphaned']} "
-            f"wal_settles={wal.get('counts', {}).get('settles', 0)}"
-        )
+        co = report.stats.get("coalesce") or {}
+        ms = report.stats.get("memo")
+        if co.get("coalesced") or co.get("promotions") or ms:
+            hits = (ms or {}).get("hits", 0)
+            misses = (ms or {}).get("misses", 0)
+            print(
+                f"  coalesce: coalesced={co.get('coalesced', 0)} "
+                f"promotions={co.get('promotions', 0)} "
+                f"max_live_per_key={co.get('max_live_per_key', 0)} "
+                f"memo_hits={hits} memo_misses={misses}"
+            )
+        sh = report.stats.get("shards")
+        if sh:
+            wal = report.stats.get("wal", {})
+            print(
+                f"  shards: target={sh['target']} "
+                f"spawned={sh['spawned_total']} "
+                f"restarts={sh['restarts_total']} "
+                f"leases={sh['leases']['granted']} "
+                f"orphaned={sh['leases']['orphaned']} "
+                f"wal_settles={wal.get('counts', {}).get('settles', 0)}"
+            )
     for name, held in report.invariants.items():
         print(f"  invariant {name}: {'PASS' if held else 'FAIL'}")
     if not report.ok:

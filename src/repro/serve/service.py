@@ -17,8 +17,9 @@ that *fails closed* under load (see ``docs/resilience.md``):
 * **Circuit breakers** — each ``(machine, engine)`` pair is guarded by
   a :class:`~repro.serve.breaker.CircuitBreaker` that trips on
   :class:`~repro.resilience.retry.TaskFailure` streaks and routes
-  tripped traffic down the degradation ladder: simulate -> estimate ->
-  journal-cached result.
+  tripped traffic down the degradation ladder: simulate -> estimate.
+  Repeats of a config that already ran are served earlier, from the
+  memo store, before the ladder is reached.
 * **Worker supervision** — workers are dedicated threads (never the
   shared schedule pool, so a wedged job cannot poison it) stamping
   :class:`~repro.resilience.watchdog.Heartbeat` records; a supervisor
@@ -34,17 +35,17 @@ that *fails closed* under load (see ``docs/resilience.md``):
   and every settle is durable — ticket state is reconstructible from
   the log alone after a supervisor crash.
 
-* **Memoization + coalescing** (``memo=...``, ``coalesce=True``) —
-  every job kind has a canonical content hash
+* **Memoization + coalescing** (``memo=...``) — every job kind has a
+  canonical content hash
   (:func:`~repro.serve.memo.canonical_job_key`); a
   :class:`~repro.serve.memo.MemoStore` settles repeat configs from
-  cache bitwise-identically to cold execution, and a single-flight
-  table guarantees at most one live execution per key: duplicate jobs
-  arriving while a leader executes park as waiters and settle
-  ``coalesced`` from the leader's result.  Waiters keep their own
-  deadlines (an expired waiter sheds without touching the leader), and
-  a failed or shed leader *promotes* the next waiter instead of
-  failing the fan-out.
+  cache bitwise-identically to cold execution, and the single-flight
+  table (always on — hedges launch from it) guarantees at most one
+  live execution per key: duplicate jobs arriving while a leader
+  executes park as waiters and settle ``coalesced`` from the leader's
+  result.  Waiters keep their own deadlines (an expired waiter sheds
+  without touching the leader), and a failed or shed leader *promotes*
+  the next waiter instead of failing the fan-out.
 
 * **Adaptive overload control** (``adaptive=...``) — an AIMD
   concurrency limiter between the queue and the workers driven by
@@ -70,7 +71,8 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Iterable
 
 from ..bench.runner import (
     GridPoint,
@@ -86,7 +88,7 @@ from ..obs import trace as _trace
 from ..obs.metrics import default_registry
 from ..parallel.pool import shared_pool_stats
 from ..resilience import faults as _faults
-from ..resilience.journal import GridJournal, WALJournal, grid_hash, point_key
+from ..resilience.journal import WALJournal, grid_hash, point_key
 from ..resilience.retry import (
     PROCESS_FAILURE_KINDS,
     RETRY_BUDGET_KIND,
@@ -161,7 +163,7 @@ class JobOutcome:
     status: str  # "ok" | "shed" | "degraded" | "failed" | "coalesced"
     value: object = None
     reason: str = ""
-    degraded_to: str | None = None  # "estimate" | "journal" | None
+    degraded_to: str | None = None  # "estimate" | "serial" (grids) | None
     failures: list[TaskFailure] = field(default_factory=list)
     elapsed_s: float = 0.0
     #: True when the value was replayed from the memo store (an ``ok``
@@ -226,8 +228,8 @@ class _ShedJob(BaseException):
 
     Subclasses :class:`BaseException` deliberately so it passes through
     ``call_with_retry``'s ``except Exception`` (no retry budget spent on
-    a decision that is already final) and ``_run_job``'s broad handler,
-    to be caught by name at the top of the worker.
+    a decision that is already final) and past ``_run_job``'s broad
+    ``except Exception``, to be caught by name beside it.
     """
 
     def __init__(self, reason: str, detail: str = ""):
@@ -288,7 +290,6 @@ class JobService:
         byte_budget: ByteBudget | int | None = None,
         default_deadline_s: float | None = None,
         retry_policy: RetryPolicy = DEFAULT_SERVE_POLICY,
-        journal: GridJournal | None = None,
         breaker_threshold: int = 3,
         breaker_recovery_after: int = 4,
         breaker_probe_jitter: int = 3,
@@ -298,11 +299,9 @@ class JobService:
         shards: int = 0,
         wal: WALJournal | str | None = None,
         shard_faults: dict | None = None,
-        shard_heartbeat_timeout_s: float = 5.0,
         shard_byte_budget: int | None = None,
         memo: MemoStore | str | bool | None = None,
         memo_limit_bytes: int | None = None,
-        coalesce: bool = True,
         adaptive: AdaptiveConfig | bool | None = None,
         clock=None,
     ):
@@ -314,18 +313,18 @@ class JobService:
         self.budget = byte_budget
         self.default_deadline_s = default_deadline_s
         self.retry_policy = retry_policy
-        self.journal = journal
         self.seed = int(seed)
         self.hang_timeout_s = float(hang_timeout_s)
         self.supervise_interval_s = float(supervise_interval_s)
         # Process isolation: shards=N routes point jobs through a
         # supervised multi-process ShardPool; the WAL (an instance or a
         # path) makes every lease and settle durable.
+        if shards < 0:
+            raise ValueError(f"shards must be >= 0, got {shards}")
         self.num_shards = int(shards)
         self._owns_wal = isinstance(wal, str)
         self.wal = WALJournal(wal, resume=True) if isinstance(wal, str) else wal
         self.shard_faults = shard_faults
-        self.shard_heartbeat_timeout_s = float(shard_heartbeat_timeout_s)
         self.shard_byte_budget = shard_byte_budget
         self._shards: ShardPool | None = None
         # Content-addressed memoization + single-flight coalescing.
@@ -334,6 +333,13 @@ class JobService:
         # monotonic time source for every deadline decision — tests
         # inject a fake to drive waiter expiry deterministically.
         self._owns_memo = isinstance(memo, (str, bool))
+        if memo_limit_bytes is not None and (
+            not self._owns_memo or memo is False
+        ):
+            raise ValueError(
+                "memo_limit_bytes needs memo=True or a path: it sizes the "
+                "store the service creates, not a live MemoStore or none"
+            )
         if isinstance(memo, str):
             memo = MemoStore(path=memo, limit_bytes=memo_limit_bytes)
         elif memo is True:
@@ -341,7 +347,6 @@ class JobService:
         elif memo is False:
             memo = None
         self._memo: MemoStore | None = memo
-        self._coalesce = bool(coalesce)
         self._clock = clock if clock is not None else time.monotonic
         # Adaptive overload control: AIMD concurrency limiting between
         # the queue and the workers, per-kind latency tracking feeding
@@ -356,20 +361,16 @@ class JobService:
         self._limiter: AdaptiveLimiter | None = None
         self._retry_budgets: dict[str, RetryBudget] = {}
         if adaptive is not None:
-            self._latency = LatencyTracker(
-                window=adaptive.window, alpha=adaptive.ewma_alpha,
-                min_samples=adaptive.min_samples,
+            self._latency = LatencyTracker(min_samples=adaptive.min_samples)
+            self._limiter = AdaptiveLimiter(
+                max_limit=adaptive.max_limit or self.num_workers,
+                min_limit=adaptive.min_limit,
+                increase=adaptive.increase,
+                decrease=adaptive.decrease,
+                cooldown_s=adaptive.cooldown_s,
+                clock=self._clock,
+                on_change=self._on_limit_change,
             )
-            if adaptive.limiter:
-                self._limiter = AdaptiveLimiter(
-                    max_limit=adaptive.max_limit or self.num_workers,
-                    min_limit=adaptive.min_limit,
-                    increase=adaptive.increase,
-                    decrease=adaptive.decrease,
-                    cooldown_s=adaptive.cooldown_s,
-                    clock=self._clock,
-                    on_change=self._on_limit_change,
-                )
         #: Execution-attempt accounting (the amplification invariant):
         #: ``attempts`` counts every engine attempt, ``attempt_units``
         #: first attempts of submitted (non-hedge) work units,
@@ -422,7 +423,6 @@ class JobService:
                 wal=self.wal,
                 byte_budget_bytes=self.shard_byte_budget,
                 fault_params=self.shard_faults,
-                heartbeat_timeout_s=self.shard_heartbeat_timeout_s,
             ).start()
         for _ in range(self.num_workers):
             self._spawn_worker()
@@ -448,10 +448,7 @@ class JobService:
                 job = self._queue.take(timeout=0)
                 if job is None:
                     break
-                self._settle(job, JobOutcome(
-                    "shed", value=Rejected("shutdown", "service stopping"),
-                    reason="shutdown",
-                ))
+                self._shed(job, "shutdown", "service stopping")
         self._queue.close()
         deadline = time.monotonic() + timeout
         for t in list(self._threads):
@@ -511,14 +508,12 @@ class JobService:
             self._adaptive is not None
             and self._adaptive.brownout
             and deadline_at is not None
-            and self._latency is not None
         ):
             # Deadline-aware brownout: a job whose remaining budget
             # cannot cover the *observed* service time for its kind
             # would only expire in the queue — refuse it at the door.
             need = self._latency.ewma_s(spec.kind)
             if need is not None:
-                need *= self._adaptive.brownout_factor
                 remaining = deadline_at - self._clock()
                 if remaining < need:
                     self._registry.counter_inc("serve.brownout")
@@ -528,18 +523,30 @@ class JobService:
                         f"{need:.4f}s for kind {spec.kind!r}",
                     )
                     return ticket
-        if not self._queue.offer(ticket, priority=spec.priority):
-            self._shed(
-                ticket, "queue_full",
-                f"queue at limit {self._queue.limit}",
-            )
+        refused = self._offer(ticket, spec.priority)
+        if refused is not None:
+            self._shed(ticket, refused, f"queue limit {self._queue.limit}")
         return ticket
 
-    def _shed(self, ticket: JobTicket, reason: str, detail: str = "") -> None:
+    def _offer(self, ticket: JobTicket, priority: int) -> str | None:
+        """Enqueue ``ticket``; ``None`` when queued, else the shed reason.
+
+        A closed queue refuses as ``shutdown`` (a submit, promotion or
+        hedge racing ``stop()``); only an open one is ``queue_full``.
+        """
+        if self._queue.offer(ticket, priority=priority):
+            return None
+        return "shutdown" if self._queue.closed else "queue_full"
+
+    def _shed(
+        self, ticket: JobTicket, reason: str, detail: str = ""
+    ) -> JobOutcome:
+        """Settle ``ticket`` as shed; the one place a shed outcome is built."""
         outcome = JobOutcome(
             "shed", value=Rejected(reason, detail), reason=reason
         )
         self._settle(ticket, outcome)
+        return outcome
 
     # ------------------------------------------------------------- accounting
     def _settle(self, ticket: JobTicket, outcome: JobOutcome) -> bool:
@@ -649,44 +656,41 @@ class JobService:
                 self._active.pop(worker.name, None)
 
     def _run_job(self, job: JobTicket, worker: _Worker) -> None:
-        if job.hedge_of is not None:
-            self._run_hedge(job)
-            return
+        """Run one dequeued ticket: gates, execution, settle, feedback.
+
+        A hedge shares the body and differs only here: it skips the
+        gates its primary passed, its live-key slot spans exactly its
+        execution (a leader's closes when its *ticket* settles), and
+        the limiter sees its elapsed time even when it ends shed.
+        """
         start = time.perf_counter()
-        if job.deadline_at is not None and self._clock() >= job.deadline_at:
-            self._shed(job, "deadline", "expired before execution")
-            if self._limiter is not None:
-                # A deadline expiring *in the queue* is the canonical
-                # overload signal: back the concurrency limit off.
-                self._limiter.on_shed()
-            return
-        key = self._memo_key(job)
-        if key is not None and self._memo is not None:
-            cached = self._memo.get(key)
-            if cached is not None:
-                _trace.add_event(
-                    "serve.memo_hit", seq=job.seq, label=job.label, key=key
-                )
-                outcome = JobOutcome("ok", value=cached, cached=True)
-                outcome.elapsed_s = time.perf_counter() - start
-                self._settle(job, outcome)
+        hedge = job.hedge_of is not None
+        span, attrs = "serve.job", {}
+        if hedge:
+            if job.hedge_of.done():
+                self._shed(job, "superseded", "primary settled first")
                 return
-        if key is not None and self._coalesce and not self._lead_flight(job, key):
-            # Parked behind the executing leader: the worker moves on,
-            # and the leader's settle (or a promotion) settles this
-            # ticket.  The supervisor sheds it if its deadline expires
-            # first.
-            _trace.add_event(
-                "serve.coalesced_wait", seq=job.seq, label=job.label, key=key
-            )
+            span, attrs = "serve.hedge", {"primary": job.hedge_of.seq}
+            with self._lock:
+                self._live(job.memo_key, +1)
+        elif not self._pass_gates(job, start):
             return
         try:
-            with _trace.span(
-                "serve.job", kind=job.spec.kind, label=job.label, seq=job.seq
-            ):
-                outcome = self._execute(job)
+            try:
+                with _trace.span(
+                    span, kind=job.spec.kind, label=job.label, seq=job.seq,
+                    **attrs,
+                ):
+                    outcome = self._execute(job)
+            finally:
+                if hedge:
+                    with self._lock:
+                        self._live(job.memo_key, -1)
         except _ShedJob as sj:
-            self._shed(job, sj.reason, sj.detail)
+            outcome = self._shed(job, sj.reason, sj.detail)
+            if hedge:
+                outcome.elapsed_s = time.perf_counter() - start
+                self._observe_outcome(job, outcome)
             return
         except Exception as exc:  # noqa: BLE001 - nothing escapes a worker
             kind = classify_failure(exc)
@@ -698,8 +702,46 @@ class JobService:
                 )],
             )
         outcome.elapsed_s = time.perf_counter() - start
-        self._settle(job, outcome)
+        self._settle(job, outcome)  # a hedge's routes to _finalize_hedge
         self._observe_outcome(job, outcome)
+
+    def _pass_gates(self, job: JobTicket, start: float) -> bool:
+        """Deadline, memo and single-flight gates of a dequeued primary.
+
+        False: the job was shed, settled from the memo store, or parked
+        as a waiter — it needs no execution of its own.
+        """
+        if job.deadline_at is not None and self._clock() >= job.deadline_at:
+            self._shed(job, "deadline", "expired before execution")
+            if self._limiter is not None:
+                # A deadline expiring *in the queue* is the canonical
+                # overload signal: back the concurrency limit off.
+                self._limiter.on_shed()
+            return False
+        key = self._memo_key(job)
+        if key is None:
+            return True
+        if self._memo is not None:
+            cached = self._memo.get(key)
+            if cached is not None:
+                _trace.add_event(
+                    "serve.memo_hit", seq=job.seq, label=job.label, key=key
+                )
+                self._settle(job, JobOutcome(
+                    "ok", value=cached, cached=True,
+                    elapsed_s=time.perf_counter() - start,
+                ))
+                return False
+        if not self._lead_flight(job, key):
+            # Parked behind the executing leader: the worker moves on,
+            # and the leader's settle (or a promotion) settles this
+            # ticket.  The supervisor sheds it if its deadline expires
+            # first.
+            _trace.add_event(
+                "serve.coalesced_wait", seq=job.seq, label=job.label, key=key
+            )
+            return False
+        return True
 
     def _observe_outcome(self, job: JobTicket, outcome: JobOutcome) -> None:
         """Feed one completed execution back into the adaptive loop.
@@ -712,21 +754,18 @@ class JobService:
         if self._adaptive is None:
             return
         fresh = outcome.status in ("ok", "degraded") and not outcome.cached
-        if fresh and self._latency is not None:
+        if fresh:
             self._latency.observe(job.spec.kind, outcome.elapsed_s)
-        if self._limiter is not None:
-            breach = outcome.elapsed_s > self._adaptive.slo_s(job.spec.kind)
-            self._limiter.on_result(
-                outcome.elapsed_s,
-                ok=outcome.status in ("ok", "degraded"),
-                breach=breach and not outcome.cached,
-            )
+        breach = outcome.elapsed_s > self._adaptive.slo_s(job.spec.kind)
+        self._limiter.on_result(
+            outcome.elapsed_s,
+            ok=outcome.status in ("ok", "degraded"),
+            breach=breach and not outcome.cached,
+        )
 
     # ------------------------------------------------------ memo + coalescing
     def _memo_key(self, job: JobTicket) -> str | None:
         """The job's canonical content hash, or None if not memoizable."""
-        if self._memo is None and not self._coalesce:
-            return None
         if job.memo_key is None:
             try:
                 job.memo_key = canonical_job_key(job.spec)
@@ -746,11 +785,21 @@ class JobService:
                 return False
             flight.executing = True
             flight.exec_started_at = self._clock()
-            live = self._live_keys.get(key, 0) + 1
+            self._live(key, +1)
+            return True
+
+    def _live(self, key: str, delta: int) -> None:
+        """Open (+1) or close (-1) one live-execution slot for ``key``.
+
+        The live-key ledger's only writer; the caller holds ``_lock``.
+        """
+        live = self._live_keys.get(key, 0) + delta
+        if live <= 0:
+            self._live_keys.pop(key, None)
+        else:
             self._live_keys[key] = live
             if live > self.max_live_per_key:
                 self.max_live_per_key = live
-            return True
 
     def _after_settle(self, ticket: JobTicket, outcome: JobOutcome) -> None:
         """Flight transitions after one ticket settled.
@@ -776,12 +825,12 @@ class JobService:
                     pass
                 return
             if flight.executing:
+                # The leader's slot closes when its *ticket* settles —
+                # possibly by a winning hedge while its own worker is
+                # still running — so a fresh duplicate and that
+                # duplicate's hedge never count a third execution.
                 flight.executing = False
-                live = self._live_keys.get(key, 1) - 1
-                if live <= 0:
-                    self._live_keys.pop(key, None)
-                else:
-                    self._live_keys[key] = live
+                self._live(key, -1)
             if outcome.status in ("ok", "degraded"):
                 del self._flights[key]
                 settle_waiters = [w for w in flight.waiters if not w.done()]
@@ -808,11 +857,12 @@ class JobService:
                 label=promoted.label, key=key,
             )
             self._registry.counter_inc("serve.flight.promotions")
-            if not self._queue.offer(promoted, priority=promoted.spec.priority):
+            refused = self._offer(promoted, promoted.spec.priority)
+            if refused is not None:
                 # Re-enqueue refused (full or closed): shed the promoted
                 # leader — its settle recurses here and promotes the
                 # next waiter, so the cascade drains the whole flight.
-                self._shed(promoted, "queue_full", "promotion re-enqueue refused")
+                self._shed(promoted, refused, "promotion re-enqueue refused")
 
     def _expire_waiters(self) -> None:
         """Shed parked waiters whose deadlines lapsed (supervisor tick).
@@ -838,18 +888,10 @@ class JobService:
         with self._lock:
             flights = list(self._flights.values())
             self._flights.clear()
-            self._live_keys.clear()
         for flight in flights:
-            hedge = flight.hedge
-            if hedge is not None and not hedge.done():
-                self._finalize_hedge(hedge, JobOutcome(
-                    "shed",
-                    value=Rejected("shutdown", "flight abandoned at shutdown"),
-                    reason="shutdown",
-                ))
-            for w in (flight.leader, *flight.waiters):
-                if not w.done():
-                    self._shed(w, "shutdown", "flight abandoned at shutdown")
+            for t in (flight.hedge, flight.leader, *flight.waiters):
+                if t is not None and not t.done():
+                    self._shed(t, "shutdown", "flight abandoned at shutdown")
 
     # --------------------------------------------------- adaptive + hedging
     def _on_limit_change(self, limit: float) -> None:
@@ -865,45 +907,27 @@ class JobService:
         with self._lock:
             rb = self._retry_budgets.get(key)
             if rb is None:
-                rb = RetryBudget(
-                    ratio=cfg.retry_budget_ratio,
-                    cap=cfg.retry_budget_cap,
-                    initial=cfg.retry_budget_initial,
-                )
+                rb = RetryBudget(ratio=cfg.retry_budget_ratio)
                 self._retry_budgets[key] = rb
             return rb
 
-    def _note_attempt(self, job: JobTicket, attempt_no: int) -> None:
+    def _note_attempt(self, attempt_no: int, hedge: bool) -> None:
         """Count one engine attempt (the amplification invariant's input)."""
         with self._lock:
             self.attempts += 1
-            if job.hedge_of is not None:
+            if hedge:
                 self.hedge_attempts += 1
             elif attempt_no == 0:
                 self.attempt_units += 1
         self._registry.counter_inc("serve.attempts")
 
-    def _check_superseded(self, job: JobTicket) -> None:
-        """Cooperative hedge cancellation, at every attempt boundary.
-
-        Whichever of (primary, hedge) settles first wins; the raced
-        execution still holding a worker aborts here rather than
-        burning its remaining attempts on a result nobody will read
-        (the settle-once ticket guard already makes a late result
-        harmless — this just returns the capacity sooner).
-        """
-        primary = job.hedge_of or job
-        if primary.done():
-            raise _ShedJob("superseded", "raced execution already settled")
-
     def amplification_ok(self) -> bool:
         """The retry-amplification bound, from the service's own counters.
 
-        ``attempts <= first_attempt_units * (1 + ratio) + initial``:
-        every non-first attempt — a retry or a hedge — spent one token,
-        and tokens are only minted at ``ratio`` per first attempt (plus
-        any configured starting balance per scope).  Trivially true
-        when retry budgets are off.
+        ``attempts <= first_attempt_units * (1 + ratio)``: every
+        non-first attempt — a retry or a hedge — spent one token, and
+        tokens are only minted at ``ratio`` per first attempt.
+        Trivially true when retry budgets are off.
         """
         cfg = self._adaptive
         if cfg is None or cfg.retry_budget_ratio is None:
@@ -911,10 +935,7 @@ class JobService:
         with self._lock:
             attempts = self.attempts
             units = self.attempt_units
-            scopes = max(1, len(self._retry_budgets))
-        bound = units * (1.0 + cfg.retry_budget_ratio)
-        bound += max(cfg.retry_budget_initial, 0.0) * scopes
-        return attempts <= bound + 1e-9
+        return attempts <= units * (1.0 + cfg.retry_budget_ratio) + 1e-9
 
     def _launch_hedges(self) -> None:
         """Supervisor tick: hedge stragglers past their kind's p95.
@@ -929,7 +950,7 @@ class JobService:
         cooperatively and is accounted ``hedge_lost``.
         """
         cfg = self._adaptive
-        if cfg is None or not cfg.hedge or self._latency is None:
+        if cfg is None or not cfg.hedge:
             return
         now = self._clock()
         launches: list[JobTicket] = []
@@ -968,15 +989,13 @@ class JobService:
                 getattr(point, "machine", None), "name", "serve"
             )
             budget = self._retry_budget(machine, primary.spec.kind)
-            denied = budget is not None and not budget.try_spend()
-            admitted = False
-            if not denied:
+            if budget is not None and not budget.try_spend():
+                refused = "budget"
+            else:
                 # Priority +1: a hedge that queues behind the very
                 # backlog that made its primary a straggler is useless.
-                admitted = self._queue.offer(
-                    hedge, priority=primary.spec.priority + 1
-                )
-            if not admitted:
+                refused = self._offer(hedge, primary.spec.priority + 1)
+            if refused is not None:
                 with self._lock:
                     self.hedges["denied"] += 1
                     flight = self._flights.get(hedge.memo_key or "")
@@ -985,8 +1004,7 @@ class JobService:
                 self._registry.counter_inc("serve.hedge.denied")
                 _trace.add_event(
                     "serve.hedge_denied", seq=primary.seq,
-                    label=primary.label,
-                    reason="budget" if denied else "queue_full",
+                    label=primary.label, reason=refused,
                 )
                 continue
             with self._lock:
@@ -996,58 +1014,6 @@ class JobService:
                 "serve.hedge_launched", seq=primary.seq, hedge_seq=hedge.seq,
                 label=primary.label,
             )
-
-    def _run_hedge(self, job: JobTicket) -> None:
-        """Execute one dequeued hedge ticket (never enters accounting)."""
-        primary = job.hedge_of
-        assert primary is not None
-        start = time.perf_counter()
-        if primary.done():
-            self._finalize_hedge(job, JobOutcome(
-                "shed",
-                value=Rejected("superseded", "primary settled first"),
-                reason="superseded",
-            ))
-            return
-        key = job.memo_key
-        if key is not None:
-            with self._lock:
-                live = self._live_keys.get(key, 0) + 1
-                self._live_keys[key] = live
-                if live > self.max_live_per_key:
-                    self.max_live_per_key = live
-        try:
-            try:
-                with _trace.span(
-                    "serve.hedge", kind=job.spec.kind, label=job.label,
-                    seq=job.seq, primary=primary.seq,
-                ):
-                    outcome = self._execute(job)
-            except _ShedJob as sj:
-                outcome = JobOutcome(
-                    "shed", value=Rejected(sj.reason, sj.detail),
-                    reason=sj.reason,
-                )
-            except Exception as exc:  # noqa: BLE001 - nothing escapes a worker
-                kind = classify_failure(exc)
-                outcome = JobOutcome(
-                    "failed", reason=kind,
-                    failures=[TaskFailure(
-                        scope="serve", index=job.seq, label=job.label,
-                        kind=kind, error=repr(exc),
-                    )],
-                )
-        finally:
-            if key is not None:
-                with self._lock:
-                    live = self._live_keys.get(key, 1) - 1
-                    if live <= 0:
-                        self._live_keys.pop(key, None)
-                    else:
-                        self._live_keys[key] = live
-        outcome.elapsed_s = time.perf_counter() - start
-        self._settle(job, outcome)  # routes to _finalize_hedge
-        self._observe_outcome(job, outcome)
 
     def _finalize_hedge(self, hedge: JobTicket, outcome: JobOutcome) -> bool:
         """Settle one hedge ticket: win the primary's race or lose quietly.
@@ -1122,9 +1088,6 @@ class JobService:
         self._registry.gauge_set(f"serve.breaker.{key}.state", STATE_CODES[new])
         _trace.add_event("serve.breaker", key=key, old=old, new=new)
 
-    def _journal_key(self, point: GridPoint) -> tuple[str, str]:
-        return grid_hash([point]), point_key(point)
-
     def _run_on_shard(
         self, job: JobTicket, point: GridPoint, eng: str, site: str,
         attempt_no: int,
@@ -1161,27 +1124,34 @@ class JobService:
             raise
 
     def _guarded_point(
-        self, job: JobTicket, point: GridPoint, eng: str, site: str,
+        self, point: GridPoint, site: str, *, job: JobTicket, eng: str,
         br: CircuitBreaker, policy: RetryPolicy, budget: RetryBudget | None,
-        failures: list[TaskFailure],
+        failures: list[TaskFailure], hedge: bool,
     ) -> SimResult | JobOutcome | None:
         """Evaluate one point on one ladder rung behind every guard.
 
         Each attempt is noted, checked against the deadline and a
-        superseding hedge, fault-perturbed, run on a shard or directly,
+        superseding settle, fault-perturbed, run on a shard or directly,
         and watchdogged for corrupt/non-finite output; ``call_with_retry``
         drives the attempts and their failures land in ``failures``.
-        Returns the result (journaled), ``None`` when the rung is
-        exhausted (the caller moves down the ladder), or the terminal
-        ``failed`` outcome when the job's deadline is spent.
+        Returns the result, ``None`` when the rung is exhausted (the
+        ladder moves down), or the terminal ``failed`` outcome when the
+        job's deadline is spent.
         """
         attempt_counter = itertools.count()
 
         def attempt() -> SimResult:
             attempt_no = next(attempt_counter)
-            self._note_attempt(job, attempt_no)
+            self._note_attempt(attempt_no, hedge)
             self._check_deadline(job)
-            self._check_superseded(job)
+            if job.done():
+                # Cooperative cancellation at every attempt boundary: a
+                # ticket already settled — a primary beaten by its hedge,
+                # a job abandoned as hung or flushed at shutdown — stops
+                # burning attempts on a result nobody will read.  (A
+                # hedge's one attempt follows _run_job's check of its
+                # primary directly.)
+                raise _ShedJob("superseded", "raced execution already settled")
             _faults.perturb("serve", job.seq, site)
             t0 = time.perf_counter()
             with _trace.span(
@@ -1227,72 +1197,71 @@ class JobService:
             # The job's budget is spent; degrading cannot help.
             return JobOutcome("failed", reason="deadline", failures=failures)
         failures.extend(retried)
-        if self.journal is not None:
-            ghash, key = self._journal_key(point)
-            self.journal.record(ghash, 0, key, r)
         return r
 
-    def _execute_engine(self, job: JobTicket) -> JobOutcome:
-        point = _as_point(job.spec.payload)
-        requested = job.spec.kind
-        ladder = ("simulate", "estimate") if requested == "simulate" else ("estimate",)
-        if job.hedge_of is not None:
-            # A hedge is speculative capacity: it races the primary on
-            # the requested rung only and never walks the ladder.
+    def _walk_ladder(
+        self, job: JobTicket, machine: str, requested: str, rung
+    ) -> JobOutcome:
+        """Walk the degradation ladder (simulate -> estimate) for one job.
+
+        Point and cluster jobs differ only in ``rung(eng, evaluate)``:
+        it evaluates the rung's point(s) through ``evaluate(point,
+        site)`` — :meth:`_guarded_point` bound to the rung — and returns
+        the job's value, or hands back a non-result ``evaluate`` gave it
+        (``None``: rung exhausted; a terminal outcome).
+        """
+        hedge = job.hedge_of is not None
+        if hedge:
+            # A hedge is speculative capacity whose launch already spent
+            # a budget token: it races its primary on the requested rung
+            # only, with exactly one attempt and no further budget.
             ladder = (requested,)
+            policy = replace(self.retry_policy, max_attempts=1)
+        else:
+            ladder = (
+                ("simulate", "estimate") if requested == "simulate"
+                else ("estimate",)
+            )
+            policy = self.retry_policy
         failures: list[TaskFailure] = []
         for eng in ladder:
-            br = self.breaker(point.machine.name, eng)
+            br = self.breaker(machine, eng)
             if not br.allow():
                 _trace.add_event(
                     "serve.breaker_refused", key=br.key, seq=job.seq,
                     label=job.label,
                 )
                 continue
-            site = f"{job.label}|{eng}"
-            if job.hedge_of is not None:
-                # The hedge's launch already spent a budget token; it
-                # gets exactly one attempt and no further budget.
-                policy, budget = replace(self.retry_policy, max_attempts=1), None
-            else:
-                policy = self.retry_policy
-                budget = self._retry_budget(point.machine.name, eng)
-            r = self._guarded_point(
-                job, point, eng, site, br, policy, budget, failures
-            )
-            if isinstance(r, JobOutcome):
-                return r
-            if r is None:
+            value = rung(eng, partial(
+                self._guarded_point, job=job, eng=eng, br=br, policy=policy,
+                budget=None if hedge else self._retry_budget(machine, eng),
+                failures=failures, hedge=hedge,
+            ))
+            if isinstance(value, JobOutcome):
+                return value
+            if value is None:
                 continue
             br.record_success()
-            if eng != requested:
-                for f in failures:
-                    f.recovered = True
-                    if f.degraded_to is None:
-                        f.degraded_to = eng
-                return JobOutcome(
-                    "degraded", value=r, degraded_to=eng, failures=failures
-                )
-            return JobOutcome("ok", value=r, failures=failures)
-        # Ladder exhausted (breakers open or every rung failed): last
-        # rung is a journal-cached replay of this exact point.
-        if self.journal is not None:
-            ghash, key = self._journal_key(point)
-            cached = self.journal.lookup(ghash, 0, key)
-            if cached is not None:
-                for f in failures:
-                    f.recovered = True
-                    if f.degraded_to is None:
-                        f.degraded_to = "journal"
-                _trace.add_event(
-                    "serve.journal_fallback", seq=job.seq, label=job.label
-                )
-                return JobOutcome(
-                    "degraded", value=cached, degraded_to="journal",
-                    failures=failures,
-                )
+            if eng == requested:
+                return JobOutcome("ok", value=value, failures=failures)
+            for f in failures:
+                f.recovered = True
+                if f.degraded_to is None:
+                    f.degraded_to = eng
+            return JobOutcome(
+                "degraded", value=value, degraded_to=eng, failures=failures
+            )
+        # Breakers open or every rung failed.  A config that ran before
+        # never gets here: the memo store served it at the gates.
         reason = failures[-1].kind if failures else "breaker_open"
         return JobOutcome("failed", reason=reason, failures=failures)
+
+    def _execute_engine(self, job: JobTicket) -> JobOutcome:
+        point = _as_point(job.spec.payload)
+        return self._walk_ladder(
+            job, point.machine.name, job.spec.kind,
+            lambda eng, evaluate: evaluate(point, f"{job.label}|{eng}"),
+        )
 
     def _execute_cluster(self, job: JobTicket) -> JobOutcome:
         """One distributed cluster step through the served front.
@@ -1301,34 +1270,21 @@ class JobService:
         halo plan — is deterministic and is built parent-side.  Only
         the engine evaluations (one per *distinct* per-rank box count;
         uniform decompositions have at most two) are failure-prone, and
-        each rides the exact machinery point jobs ride: breaker-gated
-        ladder (simulate -> estimate), ``call_with_retry``, fault
-        perturbation, and — with ``shards=N`` — process-isolated
-        execution, since a rank compute task *is* a :class:`GridPoint`
-        over the rank's synthetic sub-domain.  Per-rank costs are then
-        folded through the same :func:`~repro.cluster.scaling
-        .assemble_step` as the direct path, so served and direct
-        cluster steps report identical attribution and obs gauges.
+        each rides the exact machinery point jobs ride: the same ladder
+        walk, ``call_with_retry``, fault perturbation, and — with
+        ``shards=N`` — process-isolated execution, since a rank compute
+        task *is* a :class:`GridPoint` over the rank's synthetic
+        sub-domain.  Per-rank costs are then folded through the same
+        :func:`~repro.cluster.scaling.assemble_step` as the direct path,
+        so served and direct cluster steps report identical attribution
+        and obs gauges.
         """
         point = _as_cluster_point(job.spec.payload)
         graph = point.graph()
-        requested = point.engine
-        ladder = (
-            ("simulate", "estimate") if requested == "simulate"
-            else ("estimate",)
-        )
         dim = len(graph.domain_cells)
-        failures: list[TaskFailure] = []
-        for eng in ladder:
-            br = self.breaker(point.machine.name, eng)
-            if not br.allow():
-                _trace.add_event(
-                    "serve.breaker_refused", key=br.key, seq=job.seq,
-                    label=job.label,
-                )
-                continue
+
+        def rung(eng: str, evaluate):
             sims: dict[int, SimResult] = {}
-            rung_failed = False
             for k in graph.distinct_box_counts():
                 gp = GridPoint(
                     point.variant, point.machine, graph.threads,
@@ -1336,32 +1292,13 @@ class JobService:
                     rank_workload_cells(point.box_size, k, dim),
                     ncomp=point.ncomp, engine=eng,
                 )
-                r = self._guarded_point(
-                    job, gp, eng, f"{job.label}|{eng}|r{k}", br,
-                    self.retry_policy,
-                    self._retry_budget(point.machine.name, eng), failures,
-                )
-                if isinstance(r, JobOutcome):
+                r = evaluate(gp, f"{job.label}|{eng}|r{k}")
+                if r is None or isinstance(r, JobOutcome):
                     return r
-                if r is None:
-                    rung_failed = True
-                    break
                 sims[k] = r
-            if rung_failed:
-                continue
-            br.record_success()
-            step = assemble_step(graph, graph.assemble(sims), eng)
-            if eng != requested:
-                for f in failures:
-                    f.recovered = True
-                    if f.degraded_to is None:
-                        f.degraded_to = eng
-                return JobOutcome(
-                    "degraded", value=step, degraded_to=eng, failures=failures
-                )
-            return JobOutcome("ok", value=step, failures=failures)
-        reason = failures[-1].kind if failures else "breaker_open"
-        return JobOutcome("failed", reason=reason, failures=failures)
+            return assemble_step(graph, graph.assemble(sims), eng)
+
+        return self._walk_ladder(job, point.machine.name, point.engine, rung)
 
     def _execute_grid(self, job: JobTicket) -> JobOutcome:
         points = _as_points(job.spec.payload)
@@ -1375,7 +1312,7 @@ class JobService:
             policy = replace(self.retry_policy, deadline_s=cap)
         elif _faults.plan_active():
             policy = self.retry_policy
-        gr = run_grid(points, policy=policy, journal=self.journal)
+        gr = run_grid(points, policy=policy)
         unrecovered = [f for f in gr.failures if not f.recovered]
         incomplete = any(r is None for r in gr)
         if incomplete or unrecovered:
@@ -1538,7 +1475,6 @@ class JobService:
             ),
             "memo": None if self._memo is None else self._memo.stats(),
             "coalesce": {
-                "enabled": self._coalesce,
                 "flights": flights,
                 "parked": parked,
                 "coalesced": counts["coalesced"],
@@ -1546,13 +1482,8 @@ class JobService:
                 "max_live_per_key": max_live,
             },
             "adaptive": None if self._adaptive is None else {
-                "limiter": (
-                    None if self._limiter is None else self._limiter.stats()
-                ),
-                "latency": (
-                    None if self._latency is None
-                    else self._latency.snapshot()
-                ),
+                "limiter": self._limiter.stats(),
+                "latency": self._latency.snapshot(),
                 "retry_budgets": {
                     k: b.stats() for k, b in sorted(budgets.items())
                 },

@@ -4,12 +4,7 @@ import pytest
 
 from repro.box import Box, ProblemDomain, decompose_domain
 from repro.machine import MAGNY_COURS, SANDY_BRIDGE
-from repro.machine.cluster import (
-    GEMINI,
-    ClusterSpec,
-    InterconnectSpec,
-    step_cost,
-)
+from repro.cluster import GEMINI, ClusterSpec, InterconnectSpec, step_cost
 from repro.schedules import Variant
 
 DOMAIN = (64, 64, 64)

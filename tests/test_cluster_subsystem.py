@@ -1,11 +1,8 @@
 """Tests of the ``repro.cluster`` subsystem: topology, rank
 decomposition, copier-derived halo analysis, node-level task graphs,
-scaling sweeps, the served ``cluster`` job kind, and the
-``repro.machine.cluster`` compat shim."""
+scaling sweeps, and the served ``cluster`` job kind."""
 
-import importlib
 import random
-import warnings
 
 import pytest
 
@@ -308,23 +305,6 @@ class TestVerifyFamily:
         for _ in range(3):
             cfg = random_config(rng, family="cluster")
             assert run_check(cfg) == []
-
-
-class TestCompatShim:
-    def test_shim_warns_and_reexports(self):
-        import repro.machine.cluster as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "reloading repro.machine.cluster must warn"
-        from repro.cluster import scaling, topology
-
-        assert shim.step_cost is scaling.step_cost
-        assert shim.InterconnectSpec is topology.InterconnectSpec
-        assert shim.GEMINI is topology.GEMINI
 
 
 class TestChaosWithClusterJobs:

@@ -15,16 +15,19 @@ import pytest
 from repro.bench.runner import GridPoint
 from repro.machine.spec import IVY_DESKTOP
 from repro.resilience.faults import FaultPlan, FaultSpec, inject_faults
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import NO_RETRY, RetryPolicy
 from repro.schedules import Variant
 from repro.serve import (
     AdaptiveConfig,
     AdaptiveLimiter,
     JobService,
     JobSpec,
+    JobTicket,
     LatencyTracker,
     RetryBudget,
+    canonical_job_key,
 )
+from repro.serve.service import _ShedJob
 
 DOMAIN = (32, 32, 32)
 
@@ -355,7 +358,7 @@ class TestServiceAdaptive:
         assert stats["adaptive"]["amplification_ok"]
 
 
-def hedging_service(extra_faults=(), **cfg_kw):
+def hedging_service(extra_faults=(), workers=2, **cfg_kw):
     """A hedging-armed service plus the stall plan for one leader."""
     kw = dict(
         slo_ms=10_000.0, min_samples=2, hedge=True, hedge_factor=1.0,
@@ -371,7 +374,7 @@ def hedging_service(extra_faults=(), **cfg_kw):
         *extra_faults,
     ])
     svc = JobService(
-        workers=2, adaptive=cfg, supervise_interval_s=0.01,
+        workers=workers, adaptive=cfg, supervise_interval_s=0.01,
         hang_timeout_s=30.0,
     )
     return svc, plan
@@ -435,6 +438,111 @@ class TestHedging:
             stats = svc.stats()
         assert out.status == "ok"
         assert stats["adaptive"]["hedges"]["launched"] == 0
+
+
+    def test_duplicate_behind_a_superseded_leader_counts_two_live(self):
+        """A leader's live slot closes when its *ticket* settles.
+
+        The hedge wins while the leader's worker is still inside its
+        stall; a duplicate arrives, stalls and is hedged too.  Three
+        executions are then really running, but the superseded one left
+        the ledger with its ticket: leader + hedge is the most the
+        ledger ever shows, and both hedges are accounted.
+        """
+        dup_stall = FaultSpec(
+            scope="serve", mode="stall", label="dup|", stall_s=0.4, count=1,
+        )
+        svc, plan = hedging_service(extra_faults=[dup_stall], workers=3)
+        with inject_faults(plan), svc:
+            warm(svc)
+            t0 = time.monotonic()
+            lead = svc.submit(
+                JobSpec("estimate", point(), label="lead")
+            ).result(timeout=30.0)
+            assert svc.hedges["won"] == 1
+            dup = svc.submit(
+                JobSpec("estimate", point(), label="dup")
+            ).result(timeout=30.0)
+            # Both settled inside the first leader's 0.4 s stall.
+            assert time.monotonic() - t0 < 0.4
+            assert wait_until(
+                lambda: svc.hedges["won"] + svc.hedges["lost"]
+                >= svc.hedges["launched"]
+            )
+            stats = svc.stats()
+        assert lead.status == "ok" and dup.status == "ok"
+        hg = stats["adaptive"]["hedges"]
+        assert hg["launched"] == 2 and hg["won"] + hg["lost"] == 2
+        assert stats["coalesce"]["max_live_per_key"] == 2
+        assert stats["adaptive"]["amplification_ok"]
+        assert stats["accounted"]
+
+
+class TestOneRunPath:
+    """A primary and a hedge are one run path with two inputs.
+
+    Driven through ``_run_job`` on a service that was never started, so
+    each ticket runs exactly when the test says.
+    """
+
+    def service(self):
+        return JobService(workers=1, retry_policy=NO_RETRY, adaptive=True)
+
+    def primary_and_hedge(self, label):
+        """A primary ticket, and a hedge racing a second, idle primary."""
+        spec = JobSpec("estimate", point(), label=label)
+        primary, raced = JobTicket(0, spec, None), JobTicket(1, spec, None)
+        hedge = JobTicket(2, spec, None)
+        hedge.label = f"{label}~hedge"
+        hedge.hedge_of = raced
+        hedge.memo_key = canonical_job_key(spec)
+        return primary, hedge
+
+    @pytest.mark.parametrize("mode", [None, "raise", "corrupt"])
+    def test_one_fault_plan_same_outcome_either_way(self, mode):
+        faults = [] if mode is None else [
+            FaultSpec(scope="serve", mode=mode, label="twin", count=10),
+        ]
+        svc = self.service()
+        primary, hedge = self.primary_and_hedge("twin")
+        with inject_faults(FaultPlan(faults)):
+            svc._run_job(hedge, None)
+            svc._run_job(primary, None)
+        outs = [t.result(timeout=0) for t in (primary, hedge)]
+        shape = [
+            (o.status, o.reason, [f.kind for f in o.failures]) for o in outs
+        ]
+        assert shape[0] == shape[1]
+        assert shape[0][0] == ("ok" if mode is None else "failed")
+        assert svc.hedges == {
+            "launched": 0, "denied": 0,
+            "won": int(mode is None), "lost": int(mode is not None),
+        }
+        assert svc.attempts == 2 and svc.hedge_attempts == 1
+        assert svc._live_keys == {}
+
+    def test_a_shed_hedge_reports_to_the_limiter_a_shed_primary_does_not(self):
+        svc = self.service()
+        primary, hedge = self.primary_and_hedge("refused")
+        observed = []
+        observe = svc._observe_outcome
+
+        def refuse(job):
+            raise _ShedJob("byte_budget", "refused below the run path")
+
+        def record(job, outcome):
+            observed.append((job.label, outcome.status, outcome.elapsed_s > 0))
+            observe(job, outcome)
+
+        svc._execute, svc._observe_outcome = refuse, record
+        with quiet():
+            svc._run_job(hedge, None)
+            svc._run_job(primary, None)
+        assert observed == [("refused~hedge", "shed", True)]
+        out = primary.result(timeout=0)
+        assert (out.status, out.value.reason) == ("shed", "byte_budget")
+        assert svc.hedges["lost"] == 1 and svc.shed_reasons == {"byte_budget": 1}
+        assert svc._live_keys == {}
 
 
 class TestSingleFlightHedgeStress:

@@ -920,17 +920,6 @@ class TestCoalescing:
         assert stats["accounted"]
         assert all(t.done() for t in tickets)
 
-    def test_coalesce_off_executes_each_duplicate(self):
-        p = point()
-        with quiet(), JobService(workers=1, memo=False, coalesce=False) as svc:
-            outs = [
-                svc.submit(JobSpec("estimate", p)).result(timeout=30.0)
-                for _ in range(3)
-            ]
-            stats = svc.stats()
-        assert all(o.status == "ok" for o in outs)
-        assert stats["counts"]["coalesced"] == 0
-
 
 class TestServeCLIMemo:
     def test_repeat_serves_second_pass_from_cache(self):

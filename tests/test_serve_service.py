@@ -7,20 +7,18 @@ where ordering matters, and submits jobs one at a time — so each test
 is a deterministic replay.
 """
 
+import dataclasses
+import importlib
 import random
 import time
 
 import pytest
 
 from repro.bench.runner import GridPoint, run_grid
+from repro.cluster import GEMINI, ClusterPoint
 from repro.machine.spec import IVY_DESKTOP, MAGNY_COURS
 from repro.resilience.faults import FaultPlan, FaultSpec, inject_faults
-from repro.resilience.journal import (
-    GridJournal,
-    grid_hash,
-    point_key,
-    sim_result_to_dict,
-)
+from repro.resilience.journal import sim_result_to_dict
 from repro.resilience.retry import NO_RETRY
 from repro.schedules import Variant
 from repro.serve import (
@@ -30,9 +28,12 @@ from repro.serve import (
     ByteBudget,
     JobService,
     JobSpec,
+    MemoStore,
     Rejected,
+    canonical_job_key,
     serve_grid,
 )
+from repro.serve.service import _ShedJob
 
 DOMAIN = (32, 32, 32)
 
@@ -166,13 +167,82 @@ class TestAdmission:
             out = settle(svc, JobSpec("estimate", point()))
         assert out.reason == "deadline"
 
+    def test_submit_racing_stop_sheds_shutdown_not_queue_full(self):
+        # The race, made deterministic: the submit has passed the
+        # liveness check (the service is live) and stop() closes the
+        # queue before the offer lands.
+        with quiet(), JobService(workers=1) as svc:
+            svc._queue.close()
+            out = svc.submit(JobSpec("estimate", point())).result(timeout=1.0)
+        assert out.status == "shed" and out.value.reason == "shutdown"
+        assert svc.stats()["shed_reasons"] == {"shutdown": 1}
+
+    def test_promotion_during_draining_stop_sheds_shutdown(self):
+        # The leader stalls, then fails on a corrupt output; its waiter
+        # is promoted while stop(drain=True) has the queue closed.
+        plan = FaultPlan([
+            FaultSpec(scope="serve", mode="stall", label="drain|",
+                      stall_s=0.4, count=1),
+            FaultSpec(scope="serve", mode="corrupt", label="drain|", count=1),
+        ])
+        with inject_faults(plan):
+            svc = JobService(workers=2, retry_policy=NO_RETRY).start()
+            leader, waiter = (
+                svc.submit(JobSpec("estimate", point(), label="drain"))
+                for _ in range(2)
+            )
+            assert wait_until(
+                lambda: svc.stats()["coalesce"]["parked"] == 1, timeout=0.3
+            )
+            svc.stop(drain=True)
+        assert leader.result(timeout=0).status == "failed"
+        out = waiter.result(timeout=0)
+        assert out.status == "shed" and out.value.reason == "shutdown"
+        stats = svc.stats()
+        assert stats["shed_reasons"] == {"shutdown": 1}
+        assert stats["coalesce"]["promotions"] == 1
+        assert svc.accounted()
+
+    def test_constructor_rejects_what_it_would_ignore(self):
+        with pytest.raises(ValueError, match="shards must be >= 0"):
+            JobService(shards=-1)
+        for memo in (None, False, MemoStore()):
+            with pytest.raises(ValueError, match="memo_limit_bytes"):
+                JobService(memo=memo, memo_limit_bytes=1 << 20)
+        JobService(memo=True, memo_limit_bytes=1 << 20)  # sizes its own store
+
+
+CLUSTER = ClusterPoint(
+    Variant("series"), MAGNY_COURS, GEMINI, nodes=2, box_size=8,
+    domain_cells=(16, 16, 16), engine="simulate",
+)
+
+
+def ladder_job(kind, label=""):
+    """A job that asks for the simulate rung, as a point or a cluster step."""
+    payload = (
+        CLUSTER if kind == "cluster"
+        else point(engine="simulate", machine=MAGNY_COURS)
+    )
+    return JobSpec(kind, payload, label=label)
+
+
+def same_value(spec, value, engine):
+    """Whether ``value`` is what ``spec`` evaluates to directly on ``engine``."""
+    if spec.kind == "cluster":
+        direct = dataclasses.replace(spec.payload, engine=engine).evaluate()
+        return value.step_s == direct.step_s and value.cost == direct.cost
+    return sim_result_to_dict(value) == sim_result_to_dict(
+        spec.payload.evaluate(engine=engine)
+    )
+
 
 class TestBreakerLadder:
-    def breaker_service(self, journal=None):
+    def breaker_service(self, **kw):
         return JobService(
-            workers=1, retry_policy=NO_RETRY, journal=journal,
+            workers=1, retry_policy=NO_RETRY,
             breaker_threshold=2, breaker_recovery_after=2,
-            breaker_probe_jitter=0,
+            breaker_probe_jitter=0, **kw,
         )
 
     def test_failure_streak_trips_then_probe_recloses(self):
@@ -220,38 +290,58 @@ class TestBreakerLadder:
             settle(svc, JobSpec("simulate", p))  # probe fails
             assert br.state == OPEN and br.generation == gen + 1
 
-    def test_ladder_falls_back_to_journal(self, tmp_path):
-        p = point(engine="simulate")
-        with quiet():
-            cached = p.evaluate(engine="simulate")
-        journal = GridJournal(str(tmp_path / "serve.jsonl"))
-        journal.record(grid_hash([p]), 0, point_key(p), cached)
-        # Every rung of the ladder fails: the job's own label matches
-        # both |simulate and |estimate sites.
+    @pytest.mark.parametrize("kind", ["simulate", "cluster"])
+    def test_breaker_open_degrades_to_estimate(self, kind):
         plan = FaultPlan([FaultSpec(
-            scope="serve", mode="raise", label="lastresort", count=10,
+            scope="serve", mode="raise", label="|simulate", count=2,
         )])
-        svc = JobService(
-            workers=1, retry_policy=NO_RETRY, journal=journal,
-            breaker_threshold=10,
-        )
-        with inject_faults(plan), svc:
-            out = settle(svc, JobSpec("simulate", p, label="lastresort"))
-        assert out.status == "degraded" and out.degraded_to == "journal"
-        assert sim_result_to_dict(out.value) == sim_result_to_dict(cached)
-        assert all(f.recovered for f in out.failures)
+        spec = ladder_job(kind)
+        with inject_faults(plan), self.breaker_service() as svc:
+            br = svc.breaker(MAGNY_COURS.name, "simulate")
+            for _ in range(2):  # each fails its simulate rung once
+                out = settle(svc, spec)
+                assert out.status == "degraded"
+                assert [f.kind for f in out.failures] == ["injected"]
+                assert all(
+                    f.recovered and f.degraded_to == "estimate"
+                    for f in out.failures
+                )
+            assert br.state == OPEN
+            out = settle(svc, spec)  # refused at the breaker: nothing ran
+        assert out.status == "degraded" and out.degraded_to == "estimate"
+        assert out.failures == []
+        assert same_value(spec, out.value, "estimate")
+        assert svc.stats()["degraded_to"] == {"estimate": 3}
 
-    def test_ladder_exhausted_without_journal_fails(self):
+    @pytest.mark.parametrize("kind", ["simulate", "cluster"])
+    def test_every_rung_fails(self, kind):
         plan = FaultPlan([FaultSpec(
             scope="serve", mode="raise", label="doomed", count=10,
         )])
         with inject_faults(plan), self.breaker_service() as svc:
-            out = settle(svc, JobSpec(
-                "simulate", point(engine="simulate"), label="doomed",
-            ))
+            out = settle(svc, ladder_job(kind, label="doomed"))
         assert out.status == "failed"
         assert out.reason == "injected"
-        assert out.failures and not any(f.recovered for f in out.failures)
+        assert [f.kind for f in out.failures] == ["injected", "injected"]
+        assert not any(f.recovered for f in out.failures)
+
+    @pytest.mark.parametrize("kind", ["simulate", "cluster"])
+    def test_deadline_spent_fails_deadline(self, kind):
+        # The simulate rung stalls past the deadline and then fails on a
+        # corrupt output, so the estimate rung finds the budget spent:
+        # degrading cannot help, the job fails with reason deadline.
+        plan = FaultPlan([
+            FaultSpec(scope="serve", mode="stall", label="late|simulate",
+                      stall_s=0.5, count=1),
+            FaultSpec(scope="serve", mode="corrupt", label="late|simulate",
+                      count=1),
+        ])
+        spec = dataclasses.replace(ladder_job(kind, "late"), deadline_s=0.25)
+        with inject_faults(plan), self.breaker_service() as svc:
+            out = settle(svc, spec)
+        assert (out.status, out.reason) == ("failed", "deadline")
+        assert [f.kind for f in out.failures] == ["corruption", "deadline"]
+        assert svc.accounted()
 
     def test_corrupt_result_classified_as_corruption(self):
         plan = FaultPlan([FaultSpec(
@@ -263,13 +353,55 @@ class TestBreakerLadder:
             assert br.last_failure_kind == "corruption"
         assert out.status == "failed" and out.reason == "corruption"
 
-    def test_success_is_journaled_for_future_fallback(self, tmp_path):
+    def test_shed_signal_crosses_the_retry_loop_unspent(self, monkeypatch):
+        # _ShedJob is a BaseException: call_with_retry (2 attempts here)
+        # must not catch it, count it as a failure, or retry it.
+        def refuse(self, engine=None):
+            raise _ShedJob("byte_budget", "refused below the retry loop")
+
+        monkeypatch.setattr(GridPoint, "evaluate", refuse)
+        assert not issubclass(_ShedJob, Exception)
+        with quiet(), JobService(workers=1) as svc:
+            out = settle(svc, JobSpec("estimate", point()))
+        assert out.status == "shed" and out.value.reason == "byte_budget"
+        assert out.failures == [] and svc.attempts == 1
+
+
+class TestMemoServesRepeats:
+    """What the deleted journal rung did, done by the one store that
+    serves repeats: the memo settles a stored config before the ladder
+    is reached, and persists over the same append log."""
+
+    def test_stored_result_settles_before_a_faulted_ladder(self, tmp_path):
+        p = point(engine="simulate")
+        spec = JobSpec("simulate", p, label="lastresort")
+        path = str(tmp_path / "memo.jsonl")
+        with quiet():
+            stored = p.evaluate(engine="simulate")
+        store = MemoStore(path=path)
+        assert store.put(canonical_job_key(spec), "simulate", stored)
+        store.close()
+        # Every rung of the ladder would fail: the label matches both
+        # the |simulate and the |estimate site.
+        plan = FaultPlan([FaultSpec(
+            scope="serve", mode="raise", label="lastresort", count=10,
+        )])
+        svc = JobService(workers=1, retry_policy=NO_RETRY, memo=path)
+        with inject_faults(plan), svc:
+            out = settle(svc, spec)
+        assert out.status == "ok" and out.cached and out.failures == []
+        assert sim_result_to_dict(out.value) == sim_result_to_dict(stored)
+        assert svc.attempts == 0
+
+    def test_success_is_readable_from_a_second_store(self, tmp_path):
         p = point()
-        journal = GridJournal(str(tmp_path / "serve.jsonl"))
-        with quiet(), JobService(workers=1, journal=journal) as svc:
+        path = str(tmp_path / "memo.jsonl")
+        with quiet(), JobService(workers=1, memo=path) as svc:
             out = settle(svc, JobSpec("estimate", p))
-        assert out.status == "ok"
-        replay = journal.lookup(grid_hash([p]), 0, point_key(p))
+        assert out.status == "ok" and not out.cached
+        second = MemoStore(path=path)
+        replay = second.get(canonical_job_key(JobSpec("estimate", p)))
+        second.close()
         assert replay is not None
         assert sim_result_to_dict(replay) == sim_result_to_dict(out.value)
 
@@ -338,3 +470,35 @@ class TestVerifyJobs:
             out = settle(svc, JobSpec("verify", config), timeout=120.0)
         assert out.status == "ok"
         assert out.value == []
+
+
+class TestCLIValidation:
+    """Numeric ranges are checked once, by the constructors; the CLIs
+    report their one-line error instead of re-implementing the check."""
+
+    @pytest.mark.parametrize("module, argv, message", [
+        ("repro.serve.__main__", ["--shards", "-1"],
+         "error: shards must be >= 0, got -1"),
+        ("repro.serve.__main__", ["--retry-budget", "-1"],
+         "error: retry_budget_ratio must be >= 0"),
+        ("repro.serve.chaos", ["--shards", "-1"],
+         "error: shards must be >= 0, got -1"),
+    ])
+    def test_out_of_range_value_is_a_one_line_error(
+        self, module, argv, message, capsys
+    ):
+        assert importlib.import_module(module).main(argv) == 1
+        assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("module, argv, message", [
+        ("repro.serve.__main__", ["--shard-wal", "x.wal"],
+         "--shard-wal requires --shards >= 1"),
+        ("repro.serve.chaos", ["--kill-rate", "0.1"],
+         "--kill-rate/--wal require --shards >= 1"),
+    ])
+    def test_flag_relationships_stay_with_the_parser(
+        self, module, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit):
+            importlib.import_module(module).main(argv)
+        assert message in capsys.readouterr().err

@@ -259,6 +259,28 @@ class TestServiceWithShards:
         assert svc.accounted()
         assert svc.counts["shed"] == 1 and svc.counts["submitted"] == 1
 
+    def test_cluster_deadline_during_replacement_sheds_too(self):
+        # The same ladder walks a cluster step's rank points, so the
+        # same churn sheds it the same way.
+        from repro.cluster import GEMINI, ClusterPoint
+
+        step = ClusterPoint(
+            Variant("series"), IVY_DESKTOP, GEMINI, nodes=2, box_size=8,
+            domain_cells=(16, 16, 16), engine="simulate",
+        )
+        with quiet(), JobService(
+            workers=1, shards=1, shard_faults=kill_spec("jC|", count=10**6),
+            retry_policy=RetryPolicy(
+                max_attempts=4, base_delay_s=0.005, max_delay_s=0.02
+            ),
+            default_deadline_s=0.06,
+        ) as svc:
+            out = svc.submit(JobSpec("cluster", step, label="jC")).result(
+                timeout=30
+            )
+        assert (out.status, out.reason) == ("shed", "deadline"), out
+        assert svc.accounted() and svc.counts["shed"] == 1
+
     def test_shard_over_budget_sheds_as_byte_budget(self):
         with quiet(), JobService(
             workers=1, shards=1, shard_byte_budget=1,
