@@ -22,6 +22,9 @@ VARIANTS = [
     Variant("blocked_wavefront", "P<Box", "CLI", tile_size=8),
     Variant("overlapped", "P<Box", "CLO", tile_size=8, intra_tile="basic"),
     Variant("overlapped", "P<Box", "CLO", tile_size=8, intra_tile="shift_fuse"),
+    # The Shift-Fuse OT-16 of paper Fig. 2; at N=24 its tiles are 16 and 8
+    # cells wide, so the fused sweep's partial-tile path is checked too.
+    Variant("overlapped", "P<Box", "CLO", tile_size=16, intra_tile="shift_fuse"),
 ]
 
 

@@ -197,7 +197,7 @@ class BoxExecutor(abc.ABC):
 
         These are the quantities Table I tabulates.  They describe the
         *schedule*, independent of the vectorized realization (which may
-        batch at pencil/plane granularity; the instrumented-allocation
+        batch a whole plane or tile per call; the instrumented-allocation
         tests bound the realization against these numbers).
         """
 

@@ -8,19 +8,25 @@ of row ``j+1``), and rolls a z-face flux plane across planes.  The flux
 temporary collapses from O(C(N+1)³) to O(2 + 2N + 2N²); the face
 velocities are still precomputed per direction — 3(N+1)³ (Table I).
 
-Vectorization note (honest deviation): the paper's innermost x fusion
-keeps exactly 2 scalars; an interpreted per-cell loop would defeat the
-measurement, so this realization batches the x direction at *pencil*
-(row) granularity and rolls y per row and z per plane.  The traversal
-order, rolling-cache structure, and all floating-point expressions are
-the schedule's own; results are bitwise-identical to the reference.
+Vectorization note (honest deviation): the paper's x fusion keeps 2
+scalars and its y fusion 2 pencils; an interpreted per-cell or per-row
+loop would defeat the measurement.  This realization rolls only the
+outermost axis (z in 3-D, y in 2-D): per outer slab it evaluates each
+inner direction's face fluxes over the whole slab in one call, adds
+them in x, y order, then adds the rolled outer-face pair.  Every cell
+still receives the same expressions in x, y, z order, so results are
+bitwise-identical to the reference.  The realized 3-D flux footprint is
+2N² + 2N(N+1) per component (one slab of x and y faces plus the rolled
+z pair) against Table I's 2 + 2N + 2N² — still O(N²), never the series
+schedule's (N+1)³; with the flux arithmetic's temporaries a sweep peaks
+near 5·C(N+1)² doubles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exemplar.flux import eval_flux1, eval_flux2
+from ..exemplar.flux import accumulate_divergence, eval_flux1, eval_flux2
 from ..exemplar.state import velocity_component
 from ..stencil.operators import FACE_INTERP_GHOST
 from ..util.alloc import alloc_scratch
@@ -53,38 +59,6 @@ def compute_velocities(phi_g: np.ndarray, dim: int) -> list[np.ndarray]:
     return out
 
 
-def _row_flux_x(phi_g, velocities, comp_sel, j, k, g):
-    """Flux on all x faces of pencil (·, j, k): N+1 values (+ comp axis)."""
-    if k is None:
-        row = phi_g[:, j + g, comp_sel]
-        vel = velocities[0][:, j]
-    else:
-        row = phi_g[:, j + g, k + g, comp_sel]
-        vel = velocities[0][:, j, k]
-    face = eval_flux1(row, axis=0)
-    return eval_flux2(face, vel)
-
-
-def _face_flux_y(phi_g, velocities, comp_sel, jf, k, g):
-    """Flux on the single y-face plane ``jf`` (cells jf-2..jf+1 local)."""
-    if k is None:
-        slab = phi_g[g:-g, jf:jf + 4, comp_sel]
-        vel = velocities[1][:, jf]
-    else:
-        slab = phi_g[g:-g, jf:jf + 4, k + g, comp_sel]
-        vel = velocities[1][:, jf, k]
-    face = np.squeeze(eval_flux1(slab, axis=1), axis=1)
-    return eval_flux2(face, vel)
-
-
-def _face_flux_z(phi_g, velocities, comp_sel, kf, g):
-    """Flux on the single z-face plane ``kf`` (cells kf-2..kf+1 local)."""
-    slab = phi_g[g:-g, g:-g, kf:kf + 4, comp_sel]
-    vel = velocities[2][:, :, kf]
-    face = np.squeeze(eval_flux1(slab, axis=2), axis=2)
-    return eval_flux2(face, vel)
-
-
 def fused_sweep(
     phi_g: np.ndarray,
     phi1: np.ndarray,
@@ -95,38 +69,32 @@ def fused_sweep(
     """One shifted-and-fused sweep accumulating all directions into ``phi1``.
 
     ``comp_sel`` is ``slice(None)`` for CLI (all components together) or
-    a component index for CLO.  Per-cell accumulation order is x, y, z —
-    matching the reference — so results are bitwise identical.
+    a component index for CLO.  The outermost axis is rolled one slab at
+    a time; per-cell accumulation order is x, y, z — matching the
+    reference — so results are bitwise identical.
     """
-    g = FACE_INTERP_GHOST
-    if dim == 2:
-        ny = phi1.shape[1]
-        fy_lo = _face_flux_y(phi_g, velocities, comp_sel, 0, None, g)
-        for j in range(ny):
-            fy_hi = _face_flux_y(phi_g, velocities, comp_sel, j + 1, None, g)
-            fx = _row_flux_x(phi_g, velocities, comp_sel, j, None, g)
-            row = phi1[:, j, comp_sel]
-            row += fx[1:] - fx[:-1]
-            row += fy_hi - fy_lo
-            fy_lo = fy_hi
-        return
-    if dim != 3:
+    if dim not in (2, 3):
         raise NotImplementedError("fused sweep supports dim 2 and 3")
+    g = FACE_INTERP_GHOST
+    outer = dim - 1
 
-    ny, nz = phi1.shape[1], phi1.shape[2]
-    fz_lo = _face_flux_z(phi_g, velocities, comp_sel, 0, g)
-    for k in range(nz):
-        fz_hi = _face_flux_z(phi_g, velocities, comp_sel, k + 1, g)
-        fy_lo = _face_flux_y(phi_g, velocities, comp_sel, 0, k, g)
-        for j in range(ny):
-            fy_hi = _face_flux_y(phi_g, velocities, comp_sel, j + 1, k, g)
-            fx = _row_flux_x(phi_g, velocities, comp_sel, j, k, g)
-            row = phi1[:, j, k, comp_sel]
-            row += fx[1:] - fx[:-1]
-            row += fy_hi - fy_lo
-            fy_lo = fy_hi
-        phi1[:, :, k, comp_sel] += fz_hi - fz_lo
-        fz_lo = fz_hi
+    def face_flux(d, start, stop, face):
+        """Direction-``d`` flux over outer-axis window ``start:stop`` of
+        ``phi_g``, using the velocity of outer-axis position ``face``."""
+        cells = phi_g[tuple(
+            slice(None) if ax == d else slice(g, -g) for ax in range(outer)
+        ) + (slice(start, stop), comp_sel)]
+        vel = velocities[d][..., face:face + 1]
+        return eval_flux2(eval_flux1(cells, axis=d), vel)
+
+    f_lo = face_flux(outer, 0, 4, 0)
+    for k in range(phi1.shape[outer]):
+        slab = phi1[..., k:k + 1, comp_sel]
+        for d in range(outer):
+            accumulate_divergence(slab, face_flux(d, k + g, k + g + 1, k), axis=d)
+        f_hi = face_flux(outer, k + 1, k + 5, k + 1)
+        slab += f_hi - f_lo
+        f_lo = f_hi
 
 
 class ShiftFuseExecutor(BoxExecutor):

@@ -213,14 +213,20 @@ class JobTicket:
         assert self._outcome is not None
         return self._outcome
 
-    def _settle(self, outcome: JobOutcome) -> bool:
-        """First settler wins; later results are discarded."""
+    def _claim(self, outcome: JobOutcome) -> bool:
+        """First settler wins; later results are discarded.
+
+        Claiming does not wake ``result()``: the winner records the
+        settle first, then calls :meth:`_wake`.
+        """
         with self._lock:
             if self._outcome is not None:
                 return False
             self._outcome = outcome
-        self._settled.set()
         return True
+
+    def _wake(self) -> None:
+        self._settled.set()
 
 
 class _ShedJob(BaseException):
@@ -555,6 +561,7 @@ class JobService:
             # primary (or is discarded) — they never touch the
             # accounting buckets or the WAL.
             return self._finalize_hedge(ticket, outcome)
+        claimed = False
         try:
             if (
                 ticket.memo_key is not None
@@ -569,27 +576,32 @@ class JobService:
                 self._memo.put(
                     ticket.memo_key, ticket.spec.kind, outcome.value
                 )
+            claimed = ticket._claim(outcome)
+            if not claimed:
+                return False
+            with self._lock:
+                self.counts[outcome.status] += 1
+                if outcome.status == "shed":
+                    self.shed_reasons[outcome.reason] = (
+                        self.shed_reasons.get(outcome.reason, 0) + 1
+                    )
+                if outcome.degraded_to:
+                    self.degraded_to[outcome.degraded_to] = (
+                        self.degraded_to.get(outcome.degraded_to, 0) + 1
+                    )
+            if self.wal is not None:
+                self.wal.commit({
+                    "op": "settle", "seq": ticket.seq,
+                    "status": outcome.status, "reason": outcome.reason,
+                    "degraded_to": outcome.degraded_to,
+                })
         finally:
-            # A failed cache write must not cost the caller its result.
-            settled = ticket._settle(outcome)
-        if not settled:
-            return False
-        with self._lock:
-            self.counts[outcome.status] += 1
-            if outcome.status == "shed":
-                self.shed_reasons[outcome.reason] = (
-                    self.shed_reasons.get(outcome.reason, 0) + 1
-                )
-            if outcome.degraded_to:
-                self.degraded_to[outcome.degraded_to] = (
-                    self.degraded_to.get(outcome.degraded_to, 0) + 1
-                )
-        if self.wal is not None:
-            self.wal.commit({
-                "op": "settle", "seq": ticket.seq, "status": outcome.status,
-                "reason": outcome.reason,
-                "degraded_to": outcome.degraded_to,
-            })
+            # The caller wakes only once the settle record is durable, so
+            # it never holds a result the WAL lacks.  A failed commit, or
+            # a cache write that raised before the claim, must still not
+            # cost it its result.
+            if claimed or ticket._claim(outcome):
+                ticket._wake()
         name = {"ok": "accepted"}.get(outcome.status, outcome.status)
         self._registry.counter_inc(f"serve.{name}")
         if outcome.status == "shed":
@@ -1024,8 +1036,9 @@ class JobService:
         choke point — accounting, WAL, memo write-through, and waiter
         fan-out all behave as if the primary had produced it.
         """
-        if not hedge._settle(outcome):
+        if not hedge._claim(outcome):
             return False
+        hedge._wake()
         primary = hedge.hedge_of
         assert primary is not None
         key = hedge.memo_key

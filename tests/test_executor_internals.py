@@ -1,11 +1,18 @@
 """Unit tests of executor building blocks (velocities, range fluxes,
 fused sweep, shared-temporary series groups)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.box import Box
-from repro.exemplar import eval_flux1, random_initial_data, velocity_component
+from repro.exemplar import (
+    eval_flux1,
+    random_initial_data,
+    reference_kernel,
+    velocity_component,
+)
 from repro.parallel.partition import _series_shared_groups
 from repro.schedules import TileGrid, Variant, compute_velocities, fused_sweep
 from repro.schedules.wavefront import range_face_flux
@@ -83,6 +90,37 @@ class TestFusedSweep:
         with pytest.raises(NotImplementedError):
             fused_sweep(phi_g, np.zeros((6,) * 4 + (5,)), [], slice(None), 4)
 
+    @pytest.mark.parametrize("loop", ["CLO", "CLI"])
+    @pytest.mark.parametrize(
+        "shape", [(5, 7, 9), (1, 6, 3), (7, 2), (1, 5)], ids=str
+    )
+    def test_matches_reference_on_anisotropic_boxes(self, shape, loop):
+        dim = len(shape)
+        g = random_initial_data(tuple(n + 4 for n in shape), seed=5)
+        vels = compute_velocities(g, dim)
+        phi1 = g[(slice(2, -2),) * dim].copy(order="F")
+        sels = [slice(None)] if loop == "CLI" else range(g.shape[-1])
+        for sel in sels:
+            fused_sweep(g, phi1, vels, sel, dim)
+        assert np.array_equal(phi1, reference_kernel(g))
+
+    def test_flux_working_set_is_quadratic(self):
+        """One 3-D sweep holds O(C(N+1)²) flux, never a whole-box array."""
+        peaks = {}
+        for n in (16, 32):
+            g = random_initial_data((n + 4,) * 3, seed=3)
+            ncomp = g.shape[-1]
+            vels = compute_velocities(g, 3)
+            phi1 = np.zeros((n,) * 3 + (ncomp,), order="F")
+            tracemalloc.start()
+            try:
+                fused_sweep(g, phi1, vels, slice(None), 3)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[n] <= 12 * ncomp * (n + 1) ** 2 * 8
+        assert peaks[32] < 5 * peaks[16]
+
 
 class TestSharedSeriesGroups:
     def test_group_structure(self, phi_g):
@@ -96,8 +134,6 @@ class TestSharedSeriesGroups:
     @pytest.mark.parametrize("clo", [True, False])
     @pytest.mark.parametrize("chunks", [1, 2, 5])
     def test_matches_reference(self, phi_g, clo, chunks):
-        from repro.exemplar import reference_kernel
-
         ref = reference_kernel(phi_g)
         phi1 = phi_g[2:-2, 2:-2, 2:-2, :].copy(order="F")
         groups = _series_shared_groups(

@@ -29,6 +29,8 @@ from repro.serve import (
 )
 from repro.serve.service import _ShedJob
 
+from .test_serve_shards import SettleProbeWAL
+
 DOMAIN = (32, 32, 32)
 
 
@@ -358,7 +360,7 @@ class TestServiceAdaptive:
         assert stats["adaptive"]["amplification_ok"]
 
 
-def hedging_service(extra_faults=(), workers=2, **cfg_kw):
+def hedging_service(extra_faults=(), workers=2, wal=None, **cfg_kw):
     """A hedging-armed service plus the stall plan for one leader."""
     kw = dict(
         slo_ms=10_000.0, min_samples=2, hedge=True, hedge_factor=1.0,
@@ -375,7 +377,7 @@ def hedging_service(extra_faults=(), workers=2, **cfg_kw):
     ])
     svc = JobService(
         workers=workers, adaptive=cfg, supervise_interval_s=0.01,
-        hang_timeout_s=30.0,
+        hang_timeout_s=30.0, wal=wal,
     )
     return svc, plan
 
@@ -413,6 +415,24 @@ class TestHedging:
         assert stats["coalesce"]["max_live_per_key"] <= 2
         assert stats["adaptive"]["amplification_ok"]
         assert stats["accounted"]
+
+    def test_hedge_race_commits_one_settle_before_waking(self, tmp_path):
+        wal = SettleProbeWAL(str(tmp_path / "hedge.wal"))
+        svc, plan = hedging_service(wal=wal)
+        with inject_faults(plan), svc:
+            for i in range(4):
+                spec = JobSpec("estimate", point(ncomp=10 + i), label=f"w{i}")
+                assert wal.submit(svc, spec).result(timeout=30.0).status == "ok"
+            lead = wal.submit(svc, JobSpec("estimate", point(), label="lead"))
+            assert lead.result(timeout=30.0).status == "ok"
+            assert wait_until(
+                lambda: svc.hedges["won"] + svc.hedges["lost"]
+                >= svc.hedges["launched"]
+            )
+            assert svc.hedges["launched"] == 1
+        assert sorted(wal.settle_seqs) == sorted(wal.tickets)
+        assert wal.awake_at_commit == [False] * len(wal.tickets)
+        wal.close()
 
     def test_hedge_launch_respects_the_retry_budget(self):
         svc, plan = hedging_service(retry_budget_ratio=0.0)

@@ -8,6 +8,7 @@ every death is deterministic; the parent-side plan is always the empty
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -50,6 +51,37 @@ def wait_until(cond, timeout=10.0):
             return True
         time.sleep(0.01)
     return False
+
+
+class SettleProbeWAL(WALJournal):
+    """A real WAL that notes, at every settle commit, whether the
+    settled ticket had already woken its caller.
+
+    Submit through :meth:`submit` so the ticket is registered before
+    any worker can commit its settle.
+    """
+
+    def __init__(self, path):
+        super().__init__(path, fsync=False)
+        self.tickets = {}
+        self.gate = threading.Lock()
+        self.awake_at_commit = []
+        self.settle_seqs = []
+
+    def submit(self, service, spec):
+        with self.gate:
+            ticket = service.submit(spec)
+            self.tickets[ticket.seq] = ticket
+        return ticket
+
+    def commit(self, record):
+        if record.get("op") == "settle":
+            with self.gate:
+                self.settle_seqs.append(record["seq"])
+                self.awake_at_commit.append(
+                    self.tickets[record["seq"]].done()
+                )
+        super().commit(record)
 
 
 def kill_spec(label, count=1):
@@ -208,6 +240,24 @@ class TestWalReplay:
             "status": "ok", "reason": "", "degraded_to": None,
         }
         assert not state["open_leases"]
+
+    def test_settle_is_durable_before_the_caller_wakes(self, tmp_path):
+        wal = SettleProbeWAL(str(tmp_path / "probe.wal"))
+        with quiet(), JobService(workers=2, shards=2, wal=wal) as svc:
+            specs = [
+                JobSpec("estimate", point(threads=1 + i % 4, engine="estimate"))
+                for i in range(24)
+            ]
+            tickets = [wal.submit(svc, spec) for spec in specs]
+            outs = [t.result(timeout=30) for t in tickets]
+        assert all(o.status in ("ok", "coalesced") for o in outs)
+        assert sorted(wal.settle_seqs) == sorted(t.seq for t in tickets)
+        assert wal.awake_at_commit == [False] * len(tickets)
+        settled = replay_wal_state(wal.replay())["settled"]
+        assert {int(s): r["status"] for s, r in settled.items()} == {
+            t.seq: o.status for t, o in zip(tickets, outs)
+        }
+        wal.close()
 
 
 # ----------------------------------------------------------------- service
