@@ -398,11 +398,9 @@ def run_schedule_parallel(
     variant: Variant,
     phi0: LevelData,
     threads: int,
-    slabs_per_box: int | None = None,
     arena: bool = True,
     fallback: bool = True,
     watchdog: bool = True,
-    deadline_s: float | None = None,
 ) -> ParallelResult:
     """Run one schedule over a level with real threads.
 
@@ -410,12 +408,12 @@ def run_schedule_parallel(
     bitwise identical to :func:`repro.schedules.run_schedule_on_level`.
 
     Degradation ladder (``fallback=True``): a pooled plan that fails —
-    task exceptions, deadline timeouts, an unobtainable pool — is
-    discarded wholesale and the schedule re-run serially on a fresh
-    ``phi1`` (plan tasks mutate in place, so recovery restarts from
-    clean buffers).  With a fault plan active and ``watchdog=True``,
-    the result is additionally scanned for NaN/Inf and a corrupted run
-    is quarantined and re-run the same way.  ``degraded``/``failures``
+    a task exception, an unobtainable pool — is discarded wholesale and
+    the schedule re-run serially on a fresh ``phi1`` (plan tasks mutate
+    in place, so recovery restarts from clean buffers).  With a fault
+    plan active and ``watchdog=True``, the result is additionally
+    scanned for NaN/Inf and a corrupted run is quarantined and re-run
+    the same way.  ``degraded``/``failures``
     on the result record what happened.
     """
     if phi0.ghost < FACE_INTERP_GHOST:
@@ -427,7 +425,7 @@ def run_schedule_parallel(
 
     def serial_rerun() -> tuple[LevelData, float, int, int]:
         phi1 = prepare_phi1(phi0)
-        plan = build_plan(variant, phi0, phi1, slabs_per_box=slabs_per_box)
+        plan = build_plan(variant, phi0, phi1)
         elapsed, executed = run_plan(plan, 1, arena=arena)
         return phi1, elapsed, executed, len(plan.groups)
 
@@ -435,11 +433,10 @@ def run_schedule_parallel(
         "schedule.run", variant=variant.short_name, threads=threads
     ) as sspan:
         phi1 = prepare_phi1(phi0)
-        plan = build_plan(variant, phi0, phi1, slabs_per_box=slabs_per_box)
+        plan = build_plan(variant, phi0, phi1)
         try:
             elapsed, executed = run_plan(
-                plan, threads, arena=arena, deadline_s=deadline_s,
-                failures=failures,
+                plan, threads, arena=arena, failures=failures,
             )
             barriers = len(plan.groups)
         except (PlanExecutionError, RuntimeError) as exc:

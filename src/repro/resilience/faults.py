@@ -176,6 +176,8 @@ class RandomFaultPlan(FaultPlan):
         modes: tuple[str, ...] = THREAD_MODES,
         stall_s: float = 0.01,
     ):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"rate must be in [0, 1], got {rate}")
         super().__init__()
         self.seed = int(seed)
         self.rate = float(rate)

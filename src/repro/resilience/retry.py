@@ -42,10 +42,9 @@ class RetryPolicy:
 
     #: Total attempts (1 = no retry).
     max_attempts: int = 3
-    #: First backoff sleep; doubles (``backoff``) each further attempt.
+    #: First backoff sleep; doubles each further attempt.
     base_delay_s: float = 0.005
     max_delay_s: float = 0.25
-    backoff: float = 2.0
     #: Fraction of the delay randomized (deterministically) around 1.
     jitter: float = 0.5
     #: Per-attempt deadline; None disables timeout handling.
@@ -63,7 +62,7 @@ class RetryPolicy:
         Deterministic: the jitter factor is a hash of ``(attempt,
         salt)``, so identical reruns sleep identically.
         """
-        d = min(self.max_delay_s, self.base_delay_s * self.backoff ** attempt)
+        d = min(self.max_delay_s, self.base_delay_s * 2.0 ** attempt)
         if self.jitter:
             h = zlib.crc32(f"{salt}:{attempt}".encode()) % 10_000 / 10_000.0
             d *= 1.0 - self.jitter / 2.0 + self.jitter * h

@@ -192,9 +192,9 @@ def verify_variants_bitwise(
     variants,
     phi0: LevelData,
     threads: int = 2,
-    reference: Variant | None = None,
 ) -> WatchdogReport:
-    """Check each variant's threaded output bitwise against the reference.
+    """Check each variant's threaded output bitwise against the serial
+    series schedule, the reference every variant must reproduce.
 
     Divergent variants are quarantined and re-run once serially (via
     the serial schedule executor); a quarantined variant that then
@@ -206,7 +206,7 @@ def verify_variants_bitwise(
     from ..parallel.pool import run_schedule_parallel
     from ..schedules.level import run_schedule_on_level
 
-    ref_variant = reference or Variant("series", "P>=Box", "CLO")
+    ref_variant = Variant("series", "P>=Box", "CLO")
     ref = run_schedule_on_level(ref_variant, phi0).to_global_array()
     report = WatchdogReport(reference=ref_variant.short_name)
     for variant in variants:

@@ -95,10 +95,3 @@ class OverlappedTileExecutor(BoxExecutor):
         return {
             tag: val for tag, val in self._inner.logical_temporaries(t).items()
         }
-
-
-def make_overlapped_executor(variant: Variant, dim: int = 3, ncomp: int = 5) -> OverlappedTileExecutor:
-    """Factory used by the variant registry."""
-    if variant.category != "overlapped":
-        raise ValueError(f"not an overlapped variant: {variant}")
-    return OverlappedTileExecutor(variant, dim=dim, ncomp=ncomp)

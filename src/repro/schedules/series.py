@@ -27,7 +27,7 @@ from ..exemplar.state import velocity_component
 from ..stencil.operators import FACE_INTERP_GHOST
 from ..util.alloc import alloc_scratch
 from ..util.arena import scratch_scope
-from .base import BoxExecutor, Variant
+from .base import BoxExecutor
 
 __all__ = ["SeriesExecutor"]
 
@@ -86,10 +86,3 @@ class SeriesExecutor(BoxExecutor):
             "flux": c * faces,
             "velocity": 0 if self.variant.component_loop == "CLO" else faces,
         }
-
-
-def make_series_executor(variant: Variant, dim: int = 3, ncomp: int = 5) -> SeriesExecutor:
-    """Factory used by the variant registry."""
-    if variant.category != "series":
-        raise ValueError(f"not a series variant: {variant}")
-    return SeriesExecutor(variant, dim=dim, ncomp=ncomp)

@@ -125,10 +125,3 @@ class ShiftFuseExecutor(BoxExecutor):
         if self.variant.component_loop == "CLI":
             flux *= self.ncomp
         return {"flux": flux, "velocity": vel}
-
-
-def make_shift_fuse_executor(variant: Variant, dim: int = 3, ncomp: int = 5) -> ShiftFuseExecutor:
-    """Factory used by the variant registry."""
-    if variant.category != "shift_fuse":
-        raise ValueError(f"not a shift_fuse variant: {variant}")
-    return ShiftFuseExecutor(variant, dim=dim, ncomp=ncomp)

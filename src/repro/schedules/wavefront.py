@@ -160,10 +160,3 @@ class BlockedWavefrontExecutor(BoxExecutor):
             "velocity": vel,
             "tile_flux": (t + 1) * t ** (self.dim - 1) * comp,
         }
-
-
-def make_wavefront_executor(variant: Variant, dim: int = 3, ncomp: int = 5) -> BlockedWavefrontExecutor:
-    """Factory used by the variant registry."""
-    if variant.category != "blocked_wavefront":
-        raise ValueError(f"not a blocked_wavefront variant: {variant}")
-    return BlockedWavefrontExecutor(variant, dim=dim, ncomp=ncomp)

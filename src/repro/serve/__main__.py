@@ -15,7 +15,6 @@ full invariant-checked soak lives in ``python -m repro.serve.chaos``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..bench.experiments import FIG2_TO_4, scaling_grid_points
@@ -98,9 +97,6 @@ def main(argv: list[str] | None = None) -> int:
         help="hedge stragglers past the observed p95 service time "
              "(implies --adaptive)",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="print the stats dict as JSON"
-    )
     args = parser.parse_args(argv)
     if args.shard_wal and args.shards < 1:
         parser.error("--shard-wal requires --shards >= 1")
@@ -109,17 +105,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         parser.error(f"--repeat must be >= 1, got {args.repeat}")
 
-    plan = None
-    if args.chaos_seed is not None:
-        plan = RandomFaultPlan(
-            args.chaos_seed, rate=args.chaos_rate,
-            scopes=("serve",), stall_s=0.01,
-        )
     points = scaling_grid_points(args.figure)
     deadline_s = None if args.deadline_ms is None else args.deadline_ms / 1000.0
     try:
-        # Numeric ranges (--shards, --retry-budget, ...) are checked once,
-        # by the constructors; only flag relationships are checked above.
+        # Numeric ranges (--shards, --chaos-rate, --byte-budget, ...) are
+        # checked once, by the constructors; only flag relationships are
+        # checked above.
+        plan = None
+        if args.chaos_seed is not None:
+            plan = RandomFaultPlan(
+                args.chaos_seed, rate=args.chaos_rate,
+                scopes=("serve",), stall_s=0.01,
+            )
         adaptive = None
         if (
             args.adaptive or args.hedge or args.slo_ms is not None
@@ -155,11 +152,6 @@ def main(argv: list[str] | None = None) -> int:
         if plan is not None:
             set_fault_plan(old_plan)
     stats = service.stats()
-    if args.json:
-        print(json.dumps(
-            {"stats": stats, "grid": gr.manifest()}, indent=2, default=str
-        ))
-        return 0 if stats["accounted"] else 1
     counts = stats["counts"]
     completed = sum(1 for r in gr if r is not None)
     print(

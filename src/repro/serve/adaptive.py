@@ -195,7 +195,6 @@ class AdaptiveLimiter:
         self,
         max_limit: int,
         min_limit: int = 1,
-        initial: float | None = None,
         increase: float = 1.0,
         decrease: float = 0.5,
         cooldown_s: float = 0.05,
@@ -212,8 +211,8 @@ class AdaptiveLimiter:
         self._clock = clock
         self._on_change = on_change
         self._cond = threading.Condition()
-        self._limit = float(max_limit if initial is None else initial)
-        self._limit = min(max(self._limit, self.min_limit), self.max_limit)
+        # Start wide open: the first breach backs off from the ceiling.
+        self._limit = float(self.max_limit)
         self._inflight = 0
         self._last_backoff_at: float | None = None
         self.last_rtt_s = 0.0

@@ -99,6 +99,8 @@ class ByteBudget:
         else:
             probe_fn = probe
             self.source = getattr(probe, "__name__", "custom")
+        if limit_bytes is not None and limit_bytes < 0:
+            raise ValueError(f"limit_bytes must be >= 0, got {limit_bytes}")
         self.limit_bytes = None if limit_bytes is None else int(limit_bytes)
         self._probe = probe_fn
         self._lock = threading.Lock()

@@ -69,6 +69,8 @@ more invariants:
     or lost (never double-settled), and ``max_live_per_key <= 2``
     (leader + at most one hedge).
 
+A caller chooses the seed, the case count (>= 1) and which story runs;
+the rest of the soaks' shape is the module constants below.
 Everything is a pure function of ``--seed``: the job stream, the fault
 schedule, the kill schedule, the pressure window, and therefore the
 entire trajectory.  (The overload soak's *timing* — capacity, goodput
@@ -112,6 +114,22 @@ _VARIANTS = (
     Variant("overlapped", "P>=Box", "CLO", tile_size=16, intra_tile="shift_fuse"),
 )
 _BOXES = (16, 32, 64)
+
+#: The soaks' fixed shape.  The fault soak's bursts outrun its queue,
+#: so queue_full shedding is exercised.
+SOAK_WORKERS = 3
+SOAK_QUEUE_LIMIT = 8
+SOAK_BURST = 12
+SOAK_FAULT_RATE = 0.08
+SOAK_HANG_TIMEOUT_S = 0.1
+OVERLOAD_QUEUE_LIMIT = 32
+OVERLOAD_CALIBRATION_CASES = 24
+OVERLOAD_OFFERED_FACTOR = 2.0
+OVERLOAD_SLO_MS = 60.0
+OVERLOAD_RETRY_BUDGET_RATIO = 0.5
+OVERLOAD_STORM_STALL_S = 0.08
+GOODPUT_FLOOR = 0.7
+RECOVERY_FLOOR = 0.9
 
 
 @dataclass
@@ -201,12 +219,7 @@ def _duplicate_stream(
     return out
 
 
-def _fault_schedule(
-    rng: random.Random,
-    specs: list[JobSpec],
-    rate: float,
-    hang_timeout_s: float,
-) -> FaultPlan:
+def _fault_schedule(rng: random.Random, specs: list[JobSpec]) -> FaultPlan:
     """A seeded fault plan addressed at the soak's own job labels.
 
     Three ingredients: a guaranteed simulate-failure streak (trips at
@@ -229,10 +242,10 @@ def _fault_schedule(
         victim = point_jobs[0]
         faults.append(FaultSpec(
             scope="serve", mode="stall", label=victim.label,
-            stall_s=hang_timeout_s * 4, count=1,
+            stall_s=SOAK_HANG_TIMEOUT_S * 4, count=1,
         ))
     for s in point_jobs:
-        if rng.random() < rate:
+        if rng.random() < SOAK_FAULT_RATE:
             faults.append(FaultSpec(
                 scope="serve", mode=rng.choice(("raise", "corrupt")),
                 label=f"{s.label}|", count=1,
@@ -240,14 +253,17 @@ def _fault_schedule(
     return FaultPlan(faults)
 
 
+def _check_duration(duration_cases: int) -> None:
+    # Zero cases would submit nothing and pass every invariant vacuously.
+    if duration_cases < 1:
+        raise ValueError(
+            f"duration_cases must be >= 1, got {duration_cases}"
+        )
+
+
 def run_soak(
     seed: int,
     duration_cases: int = 200,
-    workers: int = 3,
-    queue_limit: int = 8,
-    fault_rate: float = 0.08,
-    hang_timeout_s: float = 0.1,
-    burst: int = 12,
     shards: int = 0,
     kill_rate: float = 0.0,
     wal_path: str = "",
@@ -270,17 +286,20 @@ def run_soak(
     the service with an in-memory :class:`~repro.serve.memo.MemoStore`
     so repeats arriving after the original settled hit the cache.
     """
+    _check_duration(duration_cases)
+    if not 0.0 <= kill_rate <= 1.0:
+        raise ValueError(f"kill_rate must be in [0, 1], got {kill_rate}")
     rng = random.Random(seed)
     specs = _job_stream(rng, duration_cases)
     if duplicate_rate > 0:
         specs = _duplicate_stream(rng, specs, duplicate_rate)
-    plan = _fault_schedule(rng, specs, fault_rate, hang_timeout_s)
+    plan = _fault_schedule(rng, specs)
     # Budget pressure: an injected probe the soak can squeeze — a
     # deterministic mid-stream window where every submission is over
     # budget and must shed with reason byte_budget.
     pressure = {"bytes": 0}
     budget = ByteBudget(1 << 20, probe=lambda: pressure["bytes"])
-    window = (duration_cases // 3, duration_cases // 3 + max(4, burst))
+    window = (duration_cases // 3, duration_cases // 3 + max(4, SOAK_BURST))
 
     wal_file = wal_path
     if shards > 0 and not wal_file:
@@ -295,11 +314,11 @@ def run_soak(
         }
 
     service = JobService(
-        workers=workers,
-        queue_limit=queue_limit,
+        workers=SOAK_WORKERS,
+        queue_limit=SOAK_QUEUE_LIMIT,
         byte_budget=budget,
         seed=seed,
-        hang_timeout_s=hang_timeout_s,
+        hang_timeout_s=SOAK_HANG_TIMEOUT_S,
         supervise_interval_s=0.02,
         breaker_threshold=3,
         breaker_recovery_after=2,
@@ -316,8 +335,8 @@ def run_soak(
             tickets.append(service.submit(spec))
             # Burst arrivals: only drain between bursts, so the queue
             # actually fills and queue_full shedding is exercised.
-            if (i + 1) % burst == 0:
-                for t in tickets[-burst:]:
+            if (i + 1) % SOAK_BURST == 0:
+                for t in tickets[-SOAK_BURST:]:
                     try:
                         t.result(timeout=30.0)
                     except TimeoutError:
@@ -505,34 +524,26 @@ def _overload_point(i: int, engine: str = "simulate") -> GridPoint:
 def run_overload_soak(
     seed: int,
     duration_cases: int = 160,
-    workers: int = 4,
-    queue_limit: int = 32,
-    slo_ms: float = 60.0,
-    retry_budget_ratio: float = 0.5,
-    offered_factor: float = 2.0,
-    goodput_floor: float = 0.7,
-    recovery_floor: float = 0.9,
-    calibration_cases: int = 24,
-    storm_stall_s: float = 0.08,
     shards: int = 0,
 ) -> SoakReport:
     """Overload soak: 2x offered load, a seeded storm, four invariants.
 
     Three phases against one adaptive service:
 
-    1. **Calibrate** — settle ``calibration_cases`` clean unique point
-       jobs and measure the service's sustainable rate (capacity);
+    1. **Calibrate** — settle ``OVERLOAD_CALIBRATION_CASES`` clean
+       unique point jobs and measure the service's sustainable rate
+       (capacity);
     2. **Overload** — offer ``duration_cases`` jobs at
-       ``offered_factor`` x capacity.  A seeded storm window in the
-       middle third injects *latency* (stalls of ``storm_stall_s``,
-       well past the SLO) on even victims and *synchronized retry
+       ``OVERLOAD_OFFERED_FACTOR`` x capacity.  A seeded storm window in
+       the middle third injects *latency* (stalls of
+       ``OVERLOAD_STORM_STALL_S``, well past the SLO) on even victims and *synchronized retry
        streaks* (two raises, so every victim retries at once and
        drains the retry budget) on odd victims; with ``shards > 0``
        the stalls land inside shard child processes instead — the
        slow-shard story.  The excess load must shed at admission, the
        limiter must back off, hedges race the stalled stragglers;
     3. **Recover** — clean probe traffic until the AIMD limit climbs
-       back to ``recovery_floor`` of its pre-storm value (bounded
+       back to ``RECOVERY_FLOOR`` of its pre-storm value (bounded
        rounds, so a wedged limiter fails the invariant rather than
        hanging the soak).
 
@@ -544,6 +555,7 @@ def run_overload_soak(
     # inflate measured capacity ~100x and poison every rate invariant.
     from ..machine.simulator import clear_phase_cost_cache
 
+    _check_duration(duration_cases)
     clear_phase_cost_cache()
     rng = random.Random(seed)
     storm_lo = duration_cases // 3
@@ -560,7 +572,7 @@ def run_overload_soak(
         if i % 4 == 0:
             faults.append(FaultSpec(
                 scope=stall_scope, mode="stall", label=f"{labels[i]}|",
-                stall_s=storm_stall_s, count=1,
+                stall_s=OVERLOAD_STORM_STALL_S, count=1,
             ))
         elif i % 4 == 2:
             faults.append(FaultSpec(
@@ -569,8 +581,8 @@ def run_overload_soak(
     plan = FaultPlan(faults)
 
     cfg = AdaptiveConfig(
-        slo_ms=slo_ms,
-        retry_budget_ratio=retry_budget_ratio,
+        slo_ms=OVERLOAD_SLO_MS,
+        retry_budget_ratio=OVERLOAD_RETRY_BUDGET_RATIO,
         hedge=True,
         hedge_factor=2.0,
         hedge_min_samples=8,
@@ -581,14 +593,14 @@ def run_overload_soak(
         min_limit=2,
     )
     service = JobService(
-        workers=workers,
-        queue_limit=queue_limit,
+        workers=SOAK_WORKERS,
+        queue_limit=OVERLOAD_QUEUE_LIMIT,
         default_deadline_s=10.0,
         retry_policy=RetryPolicy(
             max_attempts=3, base_delay_s=0.001, max_delay_s=0.004,
         ),
         seed=seed,
-        hang_timeout_s=max(5.0, storm_stall_s * 8),
+        hang_timeout_s=5.0,
         supervise_interval_s=0.01,
         adaptive=cfg,
         shards=shards,
@@ -602,15 +614,15 @@ def run_overload_soak(
             service.submit(JobSpec(
                 "simulate", _overload_point(-(i + 1)), label=f"cal{i:05d}",
             ))
-            for i in range(calibration_cases)
+            for i in range(OVERLOAD_CALIBRATION_CASES)
         ]
         for t in cal:
             t.result(timeout=60.0)
         cal_wall = max(1e-6, time.perf_counter() - cal_start)
-        capacity = calibration_cases / cal_wall
+        capacity = OVERLOAD_CALIBRATION_CASES / cal_wall
 
-        # Phase 2: offered load at offered_factor x capacity.
-        inter_arrival = 1.0 / (offered_factor * capacity)
+        # Phase 2: offered load at OVERLOAD_OFFERED_FACTOR x capacity.
+        inter_arrival = 1.0 / (OVERLOAD_OFFERED_FACTOR * capacity)
         pre_storm_limit = None
         limiter = service._limiter
         main_tickets = []
@@ -643,17 +655,17 @@ def run_overload_soak(
         while (
             limiter is not None
             and recovery_rounds < 120
-            and limiter.limit < recovery_floor * (pre_storm_limit or 1)
+            and limiter.limit < RECOVERY_FLOOR * (pre_storm_limit or 1)
         ):
             batch = [
                 service.submit(JobSpec(
                     "simulate",
                     _overload_point(
-                        100_000 + recovery_rounds * workers * 2 + j
+                        100_000 + recovery_rounds * SOAK_WORKERS * 2 + j
                     ),
                     label=f"rec{recovery_rounds:04d}.{j}",
                 ))
-                for j in range(workers * 2)
+                for j in range(SOAK_WORKERS * 2)
             ]
             for t in batch:
                 try:
@@ -672,7 +684,7 @@ def run_overload_soak(
     ad = stats["adaptive"] or {}
     report.stats["overload"] = {
         "capacity_per_s": round(capacity, 2),
-        "offered_per_s": round(offered_factor * capacity, 2),
+        "offered_per_s": round(OVERLOAD_OFFERED_FACTOR * capacity, 2),
         "goodput_per_s": round(goodput, 2),
         "goodput_ratio": round(goodput / capacity, 4),
         "good_settles": good,
@@ -702,11 +714,11 @@ def run_overload_soak(
         report.violations.append(f"accounting mismatch: {stats['counts']}")
 
     # 10. Goodput floor under 2x offered load.
-    report.invariants["goodput_floor"] = goodput >= goodput_floor * capacity
-    if goodput < goodput_floor * capacity:
+    report.invariants["goodput_floor"] = goodput >= GOODPUT_FLOOR * capacity
+    if goodput < GOODPUT_FLOOR * capacity:
         report.violations.append(
             f"goodput collapsed under overload: {goodput:.1f}/s < "
-            f"{goodput_floor:.0%} of measured capacity {capacity:.1f}/s"
+            f"{GOODPUT_FLOOR:.0%} of measured capacity {capacity:.1f}/s"
         )
 
     # 11. Amplification bound: attempts <= units * (1 + ratio).
@@ -720,19 +732,20 @@ def run_overload_soak(
         report.violations.append(
             f"retry amplification exceeded the budget bound: "
             f"attempts={ad.get('attempts')} units={ad.get('attempt_units')} "
-            f"ratio={retry_budget_ratio} budgets={ad.get('retry_budgets')}"
+            f"ratio={OVERLOAD_RETRY_BUDGET_RATIO} "
+            f"budgets={ad.get('retry_budgets')}"
         )
 
     # 12. Limiter re-opens after the storm.
     recovered = (
         pre_storm_limit is None
-        or (recovered_limit or 0) >= recovery_floor * pre_storm_limit
+        or (recovered_limit or 0) >= RECOVERY_FLOOR * pre_storm_limit
     )
     report.invariants["limiter_recovered"] = recovered
     if not recovered:
         report.violations.append(
             f"limiter stuck after storm: limit={recovered_limit} < "
-            f"{recovery_floor:.0%} of pre-storm {pre_storm_limit} "
+            f"{RECOVERY_FLOOR:.0%} of pre-storm {pre_storm_limit} "
             f"after {recovery_rounds} recovery rounds"
         )
 
@@ -761,9 +774,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=2014)
     parser.add_argument("--duration-cases", type=int, default=200)
-    parser.add_argument("--workers", type=int, default=3)
-    parser.add_argument("--queue-limit", type=int, default=8)
-    parser.add_argument("--fault-rate", type=float, default=0.08)
     parser.add_argument(
         "--shards", type=int, default=0,
         help="run point jobs on N process shards (arms invariants 5-6)",
@@ -792,14 +802,6 @@ def main(argv: list[str] | None = None) -> int:
              "bound, limiter recovery, hedge ledger)",
     )
     parser.add_argument(
-        "--slo-ms", type=float, default=60.0,
-        help="per-kind latency SLO for the overload soak's limiter",
-    )
-    parser.add_argument(
-        "--retry-budget-ratio", type=float, default=0.5,
-        help="retry-budget token ratio for the overload soak",
-    )
-    parser.add_argument(
         "--metrics-out", default="",
         help="write the obs metrics snapshot + soak report JSON here",
     )
@@ -816,18 +818,12 @@ def main(argv: list[str] | None = None) -> int:
             report = run_overload_soak(
                 args.seed,
                 duration_cases=args.duration_cases,
-                workers=args.workers,
-                slo_ms=args.slo_ms,
-                retry_budget_ratio=args.retry_budget_ratio,
                 shards=args.shards,
             )
         else:
             report = run_soak(
                 args.seed,
                 duration_cases=args.duration_cases,
-                workers=args.workers,
-                queue_limit=args.queue_limit,
-                fault_rate=args.fault_rate,
                 shards=args.shards,
                 kill_rate=args.kill_rate,
                 wal_path=args.wal,
@@ -835,8 +831,8 @@ def main(argv: list[str] | None = None) -> int:
                 memo=args.memo,
             )
     except ValueError as exc:
-        # A numeric range the service's constructors own (--shards,
-        # --workers, --retry-budget-ratio, ...), checked there once.
+        # A numeric range the soaks or the service's constructors own
+        # (--duration-cases, --kill-rate, --shards, ...), checked there once.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.metrics_out:

@@ -370,11 +370,11 @@ class MemoStore:
         path: str | None = None,
         limit_bytes: int | None = None,
         resume: bool = True,
-        fsync: bool = False,
     ):
+        if limit_bytes is not None and limit_bytes < 0:
+            raise ValueError(f"limit_bytes must be >= 0, got {limit_bytes}")
         self.path = str(path) if path else None
         self.limit_bytes = None if limit_bytes is None else int(limit_bytes)
-        self.fsync = bool(fsync)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -388,7 +388,7 @@ class MemoStore:
         if self.path is not None:
             self._log = AppendLog(
                 self.path, self._HEADER, resume=resume, sort_keys=True,
-                fsync=self.fsync,
+                fsync=False,
             )
             self.recovered_bytes = self._log.recovered_bytes
             self._entries = _fold_memo(self._log.take_recovered())

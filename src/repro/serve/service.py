@@ -313,6 +313,10 @@ class JobService:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if default_deadline_s is not None and default_deadline_s < 0:
+            raise ValueError(
+                f"default_deadline_s must be >= 0, got {default_deadline_s}"
+            )
         self.num_workers = int(workers)
         if isinstance(byte_budget, int):
             byte_budget = ByteBudget(byte_budget)
@@ -1534,10 +1538,7 @@ def _as_points(payload) -> list[GridPoint]:
 def serve_grid(
     points: Iterable[GridPoint],
     service: JobService,
-    priority: int = 0,
-    deadline_s: float | None = None,
     batch: bool = True,
-    timeout: float | None = 120.0,
 ) -> GridResult:
     """Route an experiment grid through a running service.
 
@@ -1546,15 +1547,16 @@ def serve_grid(
     point, exercising admission per point.  Either way the return value
     is a :class:`~repro.bench.runner.GridResult` shaped exactly like
     ``run_grid``'s: ``None`` holds the slot of any point that was shed
-    or failed, and the failure manifest says why.
+    or failed, and the failure manifest says why.  Jobs carry the
+    default priority and the service's default deadline; each result is
+    awaited for up to 120 s.
     """
     points = list(points)
     if batch:
         ticket = service.submit(JobSpec(
-            "grid", points, priority=priority, deadline_s=deadline_s,
-            label=f"grid[{len(points)}]",
+            "grid", points, label=f"grid[{len(points)}]",
         ))
-        out = ticket.result(timeout=timeout)
+        out = ticket.result(timeout=120.0)
         if isinstance(out.value, GridResult):
             return out.value
         # Shed at admission (or expired): no point ran.
@@ -1568,17 +1570,14 @@ def serve_grid(
             grid_hash=grid_hash(points),
         )
     tickets = [
-        service.submit(JobSpec(
-            p.engine, p, priority=priority, deadline_s=deadline_s,
-            label=point_key(p),
-        ))
+        service.submit(JobSpec(p.engine, p, label=point_key(p)))
         for p in points
     ]
     results: list[SimResult | None] = []
     failures: list[TaskFailure] = []
     degraded = False
     for ticket in tickets:
-        out = ticket.result(timeout=timeout)
+        out = ticket.result(timeout=120.0)
         failures.extend(out.failures)
         if out.status in ("ok", "degraded", "coalesced") and isinstance(
             out.value, SimResult

@@ -37,6 +37,11 @@ Shard lifecycle (mirrored into ``repro.obs`` and the WAL)::
 Only the owner of a leased shard touches it — the supervisor thread
 manages idle shards exclusively — so reap/replace never races.
 
+The pool's timing and start method are module constants, not
+parameters: ``HEARTBEAT_TIMEOUT_S``, ``LEASE_TIMEOUT_S``,
+``CHECKOUT_TIMEOUT_S``, ``POLL_STEP_S`` and ``START_METHOD`` (``fork``
+where the platform has it).
+
 Kill injection: each child installs its own seeded fault plan (pure
 function of ``(seed, scope, index, label)``, hence identical no matter
 which shard runs the job) and consults
@@ -74,12 +79,20 @@ __all__ = [
     "replay_wal_state",
 ]
 
-#: Environment override for the multiprocessing start method.  ``fork``
-#: (the default where available) inherits the parent's warm workload
-#: and phase-cost caches, so a shard's first job costs the same as its
-#: hundredth; ``spawn`` pays a cold import per shard but cannot inherit
-#: a poisoned lock from a mid-operation fork.
-START_METHOD_ENV = "REPRO_SHARD_START"
+#: The multiprocessing start method: ``fork`` where available, which
+#: inherits the parent's warm workload and phase-cost caches, so a
+#: shard's first job costs the same as its hundredth; elsewhere the
+#: platform's first (default) method.
+_METHODS = multiprocessing.get_all_start_methods()
+START_METHOD = "fork" if "fork" in _METHODS else _METHODS[0]
+#: A live shard whose heartbeat is older than this is reaped as hung.
+HEARTBEAT_TIMEOUT_S = 5.0
+#: Hard ceiling on one lease, whatever the caller's deadline.
+LEASE_TIMEOUT_S = 60.0
+#: Longest wait for an idle shard before :class:`LeaseUnavailable`.
+CHECKOUT_TIMEOUT_S = 10.0
+#: How often a lease owner re-checks its shard while waiting on the pipe.
+POLL_STEP_S = 0.01
 
 _STOP = ("stop",)
 
@@ -301,12 +314,7 @@ class ShardPool:
         wal: WALJournal | None = None,
         byte_budget_bytes: int | None = None,
         fault_params: dict | None = None,
-        heartbeat_timeout_s: float = 5.0,
-        lease_timeout_s: float = 60.0,
-        checkout_timeout_s: float = 10.0,
         supervise_interval_s: float = 0.05,
-        poll_step_s: float = 0.01,
-        start_method: str | None = None,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -314,17 +322,8 @@ class ShardPool:
         self.wal = wal
         self.byte_budget_bytes = byte_budget_bytes
         self.fault_params = fault_params
-        self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.lease_timeout_s = float(lease_timeout_s)
-        self.checkout_timeout_s = float(checkout_timeout_s)
         self.supervise_interval_s = float(supervise_interval_s)
-        self.poll_step_s = float(poll_step_s)
-        method = start_method or os.environ.get(START_METHOD_ENV)
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(method)
-        self.start_method = method
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._registry = default_registry()
         self._lock = threading.Lock()
         self._free = threading.Condition(self._lock)
@@ -459,7 +458,7 @@ class ShardPool:
     # ----------------------------------------------------------------- leases
     def _checkout(self, deadline_at: float | None) -> Shard:
         """Take an idle shard, waiting up to the caller's deadline."""
-        limit = time.monotonic() + self.checkout_timeout_s
+        limit = time.monotonic() + CHECKOUT_TIMEOUT_S
         if deadline_at is not None:
             limit = min(limit, deadline_at)
         with self._free:
@@ -564,7 +563,7 @@ class ShardPool:
         with self._lock:
             self.leases_granted += 1
         self._registry.counter_inc("serve.shards.leases_granted_total")
-        hard_limit = time.monotonic() + self.lease_timeout_s
+        hard_limit = time.monotonic() + LEASE_TIMEOUT_S
         try:
             shard.conn.send(("job", seq, site, point, engine))
         except (BrokenPipeError, OSError):
@@ -577,7 +576,7 @@ class ShardPool:
             ) from None
         while True:
             try:
-                has_msg = shard.conn.poll(self.poll_step_s)
+                has_msg = shard.conn.poll(POLL_STEP_S)
             except (EOFError, OSError):
                 has_msg = False
                 shard.proc.join(0.1)
@@ -608,7 +607,7 @@ class ShardPool:
                     f"{shard.ident}; shard killed"
                 )
             if now >= hard_limit or (
-                shard.heartbeat_age() > self.heartbeat_timeout_s
+                shard.heartbeat_age() > HEARTBEAT_TIMEOUT_S
             ):
                 cause = (
                     "lease_timeout" if now >= hard_limit else "heartbeat_lost"
@@ -661,7 +660,7 @@ class ShardPool:
         for shard in idle:
             dead = not shard.alive()
             frozen = (
-                not dead and shard.heartbeat_age() > self.heartbeat_timeout_s
+                not dead and shard.heartbeat_age() > HEARTBEAT_TIMEOUT_S
             )
             if frozen:
                 shard.proc.kill()
@@ -688,7 +687,7 @@ class ShardPool:
             return {
                 "target": self.target,
                 "alive": sum(1 for s in self._shards.values() if s.alive()),
-                "start_method": self.start_method,
+                "start_method": START_METHOD,
                 "spawned_total": self.spawned_total,
                 "restarts_total": self.restarts_total,
                 "leases": {

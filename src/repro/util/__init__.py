@@ -1,4 +1,4 @@
-"""Shared utilities: allocation accounting, scratch arena, perf counters, timers."""
+"""Shared utilities: allocation accounting, scratch arena, perf counters."""
 
 from .alloc import AllocationTracker, current_tracker, track_allocations
 from .arena import (
@@ -9,13 +9,11 @@ from .arena import (
     scratch_scope,
 )
 from .perf import format_perf_report, perf, publish_cache_gauges, reset_perf
-from .timer import Timer
 
 __all__ = [
     "AllocationTracker",
     "current_tracker",
     "track_allocations",
-    "Timer",
     "scratch_arena",
     "scratch_scope",
     "clear_arena",

@@ -481,8 +481,26 @@ class TestCLIValidation:
          "error: shards must be >= 0, got -1"),
         ("repro.serve.__main__", ["--retry-budget", "-1"],
          "error: retry_budget_ratio must be >= 0"),
+        ("repro.serve.__main__", ["--queue-limit", "0"],
+         "error: queue limit must be >= 1"),
+        ("repro.serve.__main__", ["--byte-budget", "-5"],
+         "error: limit_bytes must be >= 0, got -5"),
+        ("repro.serve.__main__", ["--deadline-ms", "-1"],
+         "error: default_deadline_s must be >= 0, got -0.001"),
+        ("repro.serve.__main__", ["--memo", "mem", "--memo-bytes", "-1"],
+         "error: limit_bytes must be >= 0, got -1"),
+        ("repro.serve.__main__", ["--chaos-seed", "1", "--chaos-rate", "7"],
+         "error: rate must be in [0, 1], got 7.0"),
         ("repro.serve.chaos", ["--shards", "-1"],
          "error: shards must be >= 0, got -1"),
+        ("repro.serve.chaos", ["--duration-cases", "0"],
+         "error: duration_cases must be >= 1, got 0"),
+        ("repro.serve.chaos", ["--duration-cases", "-3"],
+         "error: duration_cases must be >= 1, got -3"),
+        ("repro.serve.chaos", ["--overload", "--duration-cases", "0"],
+         "error: duration_cases must be >= 1, got 0"),
+        ("repro.serve.chaos", ["--shards", "1", "--kill-rate", "7"],
+         "error: kill_rate must be in [0, 1], got 7.0"),
     ])
     def test_out_of_range_value_is_a_one_line_error(
         self, module, argv, message, capsys

@@ -1,11 +1,8 @@
-"""Tests of allocation tracking and the timer utility."""
-
-import time
+"""Tests of allocation tracking."""
 
 import numpy as np
-import pytest
 
-from repro.util import Timer, track_allocations
+from repro.util import track_allocations
 from repro.util.alloc import alloc_scratch, current_tracker
 
 
@@ -41,21 +38,3 @@ class TestAllocationTracking:
         assert arr.dtype == np.float32
         assert arr.flags.c_contiguous
 
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        for _ in range(3):
-            with t.measure():
-                time.sleep(0.001)
-        assert t.count == 3
-        assert t.elapsed >= 0.003
-        assert t.mean == pytest.approx(t.elapsed / 3)
-
-    def test_reset(self):
-        t = Timer()
-        with t.measure():
-            pass
-        t.reset()
-        assert t.count == 0 and t.elapsed == 0.0
-        assert t.mean == 0.0
