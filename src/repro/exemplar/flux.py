@@ -27,6 +27,7 @@ __all__ = [
     "axslice",
     "eval_flux1",
     "eval_flux2",
+    "multiply_face_velocity",
     "accumulate_divergence",
     "FLOPS_FLUX1_PER_FACE",
     "FLOPS_FLUX2_PER_FACE",
@@ -43,32 +44,51 @@ FLOPS_ACCUM_PER_CELL = 2
 
 
 def axslice(arr: np.ndarray, axis: int, start, stop) -> np.ndarray:
-    """View of ``arr`` sliced ``start:stop`` along one axis."""
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = slice(start, stop)
-    return arr[tuple(idx)]
+    """View of ``arr`` sliced ``start:stop`` along one axis (negative
+    axes count from the end)."""
+    if axis < 0:
+        if axis < -arr.ndim:
+            raise IndexError(f"axis {axis} out of range for {arr.ndim}-D array")
+        axis += arr.ndim
+    return arr[(slice(None),) * axis + (slice(start, stop),)]
 
 
 def eval_flux1(phi: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """4th-order face average (Eq. 6) along ``axis``.
 
     ``phi`` has ``M >= 4`` cells along ``axis``; the result has ``M - 3``
-    faces.  The expression is fixed — do not refactor it — because all
-    schedule variants rely on it being evaluated identically::
+    faces.  The *operation sequence* is fixed — do not refactor it —
+    because all schedule variants rely on every face being evaluated
+    identically::
 
         face = 7/12*(phi[f-1] + phi[f]) - 1/12*(phi[f+1] + phi[f-2])
+
+    It is written through one buffer: ``out = a + b``, ``out *= 7/12``,
+    ``t = c + d``, ``t *= 1/12``, ``out -= t``.  Those are the
+    expression's own IEEE operations on the same operands (multiply
+    commutes), so any layout or call granularity gives the same bits.
+
+    Aliasing rule: ``out`` is written before every read of ``phi`` is
+    done, so an ``out`` that shares memory with ``phi`` is rejected
+    with ``ValueError``.
     """
     m = phi.shape[axis]
     if m < 4:
         raise ValueError(f"need >= 4 cells along axis {axis}, got {m}")
+    if out is not None and np.may_share_memory(out, phi):
+        raise ValueError("eval_flux1: out must not overlap phi")
     a = axslice(phi, axis, 1, m - 2)   # cell f-1
     b = axslice(phi, axis, 2, m - 1)   # cell f
     c = axslice(phi, axis, 3, m)       # cell f+1
     d = axslice(phi, axis, 0, m - 3)   # cell f-2
-    interp = (7.0 / 12.0) * (a + b) - (1.0 / 12.0) * (c + d)
     if out is None:
-        return interp
-    out[...] = interp
+        out = a + b
+    else:
+        np.add(a, b, out=out)
+    out *= 7.0 / 12.0
+    t = c + d
+    t *= 1.0 / 12.0
+    out -= t
     return out
 
 
@@ -92,6 +112,23 @@ def eval_flux2(face_phi: np.ndarray, velocity: np.ndarray,
         return face_phi * v
     np.multiply(face_phi, v, out=out)
     return out
+
+
+def multiply_face_velocity(flux: np.ndarray, vd: int) -> np.ndarray:
+    """EvalFlux2 in place, with the velocity held in the flux array.
+
+    ``flux``'s component ``vd`` holds the interpolated face velocity;
+    every other component is multiplied by it first and the ``vd`` slot
+    itself last, so no velocity temporary is needed (§IV-A, the CLO
+    form of Table I).  Three calls whatever the component count; each
+    value is the same single product :func:`eval_flux2` forms.
+    """
+    vel = flux[..., vd]
+    v = vel[..., None]
+    np.multiply(flux[..., :vd], v, out=flux[..., :vd])
+    np.multiply(flux[..., vd + 1:], v, out=flux[..., vd + 1:])
+    np.multiply(vel, vel, out=vel)
+    return flux
 
 
 def accumulate_divergence(phi1: np.ndarray, flux: np.ndarray, axis: int) -> None:

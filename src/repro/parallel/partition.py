@@ -172,7 +172,12 @@ def _series_shared_groups(
     """
     import numpy as np
 
-    from ..exemplar.flux import accumulate_divergence, eval_flux1
+    from ..exemplar.flux import (
+        accumulate_divergence,
+        eval_flux1,
+        eval_flux2,
+        multiply_face_velocity,
+    )
     from ..exemplar.state import velocity_component
 
     g = _G
@@ -224,11 +229,10 @@ def _series_shared_groups(
             chunk = flux[zsl(a, b) + (slice(None),)]
 
             def flux2(chunk=chunk, vd=vd):
-                vel = chunk[..., vd] if clo else chunk[..., vd].copy()
-                for c in range(ncomp):
-                    if c != vd:
-                        np.multiply(chunk[..., c], vel, out=chunk[..., c])
-                np.multiply(chunk[..., vd], vel, out=chunk[..., vd])
+                if clo:
+                    multiply_face_velocity(chunk, vd)
+                else:
+                    eval_flux2(chunk, chunk[..., vd].copy(), out=chunk)
 
             g2.tasks.append(flux2)
         groups.append(g2)

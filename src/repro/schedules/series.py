@@ -16,13 +16,24 @@ Component-loop placement (the CLO/CLI axis):
   time; doing the velocity component's EvalFlux2 *last* lets the flux
   array itself hold the interpolated velocity, eliminating the velocity
   temporary (§IV-A "no temporary storage is required for the velocity").
+
+What CLO means in NumPy: the scratch arrays are Fortran-ordered, so the
+component axis has the largest stride and a single ufunc call over all
+components iterates them outermost — that call *is* the CLO loop nest.
+Each pass is therefore one call over every component; the flux product
+is three (the components before ``vd``, those after it, then ``vd``).
+Elementwise IEEE arithmetic gives the same bits at any call granularity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exemplar.flux import accumulate_divergence, eval_flux1
+from ..exemplar.flux import (
+    accumulate_divergence,
+    eval_flux1,
+    multiply_face_velocity,
+)
 from ..exemplar.state import velocity_component
 from ..stencil.operators import FACE_INTERP_GHOST
 from ..util.alloc import alloc_scratch
@@ -58,26 +69,14 @@ class SeriesExecutor(BoxExecutor):
             )
             flux = alloc_scratch("flux", face_shape + (ncomp,))
             vd = velocity_component(d)
+            eval_flux1(view, axis=d, out=flux)
             if clo:
-                # First pass: interpolate each component separately.
-                for c in range(ncomp):
-                    eval_flux1(view[..., c], axis=d, out=flux[..., c])
-                # Second pass: the flux array's component vd still holds
-                # the interpolated velocity; multiply it into the other
-                # components first, itself last.
-                vel = flux[..., vd]
-                for c in range(ncomp):
-                    if c != vd:
-                        np.multiply(flux[..., c], vel, out=flux[..., c])
-                np.multiply(vel, vel, out=vel)
-                for c in range(ncomp):
-                    accumulate_divergence(phi1[..., c], flux[..., c], axis=d)
+                multiply_face_velocity(flux, vd)
             else:
-                eval_flux1(view, axis=d, out=flux)
                 velocity = alloc_scratch("velocity", face_shape)
                 velocity[...] = flux[..., vd]
                 np.multiply(flux, velocity[..., None], out=flux)
-                accumulate_divergence(phi1, flux, axis=d)
+            accumulate_divergence(phi1, flux, axis=d)
 
     def logical_temporaries(self, n: int) -> dict[str, int]:
         c = self.ncomp

@@ -1,9 +1,13 @@
 """Tests of Table I formulas and their consistency with the executors."""
 
+import tracemalloc
+
 import pytest
 
 from repro.analysis import table1_for_variant, table1_rows, table1_temporaries
+from repro.exemplar import random_initial_data
 from repro.schedules import Variant, make_executor
+from repro.util import track_allocations
 
 
 class TestFormulas:
@@ -80,3 +84,57 @@ class TestExecutorConsistency:
         # Per-thread scratch is tile-sized, independent of N.
         assert decl == make_executor(v).logical_temporaries(128)
         assert decl["velocity"] == 3 * 9**3
+
+
+class TestRealizedFootprint:
+    """The executed scratch stays where Table I puts it."""
+
+    SERIES_CLO = Variant("series", "P>=Box", "CLO")
+    SERIES_CLI = Variant("series", "P>=Box", "CLI")
+    BASIC_OT8 = Variant("overlapped", "P<Box", "CLO", tile_size=8, intra_tile="basic")
+
+    @staticmethod
+    def box(v, n, dim=3):
+        g = random_initial_data((n + 4,) * dim, seed=3)
+        ex = make_executor(v, dim=dim, ncomp=g.shape[-1])
+        return ex, g, g[(slice(2, -2),) * dim].copy(order="F")
+
+    def tagged_peaks(self, v, n, dim):
+        ex, g, phi1 = self.box(v, n, dim)
+        with track_allocations() as t:
+            ex.run(g, phi1)
+        return t.peak_elements_by_tag()
+
+    def traced_peak(self, v, n):
+        ex, g, phi1 = self.box(v, n)
+        ex.run(g, phi1)  # warm: imports and first-call caches
+        tracemalloc.start()
+        try:
+            ex.run(g, phi1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "name, dim, expect",
+        [
+            ("SERIES_CLO", 3, {"flux": 21760}),
+            ("SERIES_CLI", 3, {"flux": 21760, "velocity": 4352}),
+            ("BASIC_OT8", 3, {"flux": 2880}),
+            ("SERIES_CLO", 2, {"flux": 1360}),
+            ("SERIES_CLI", 2, {"flux": 1360, "velocity": 272}),
+            ("BASIC_OT8", 2, {"flux": 360}),
+        ],
+    )
+    def test_tagged_peaks_at_n16(self, name, dim, expect):
+        assert self.tagged_peaks(getattr(self, name), 16, dim) == expect
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_series_clo_bounded_by_four_flux_arrays(self, n):
+        peak = self.traced_peak(self.SERIES_CLO, n)
+        assert peak <= 4 * 5 * (n + 1) ** 3 * 8
+
+    def test_overlapped_working_set_is_tile_local(self):
+        series = self.traced_peak(self.SERIES_CLO, 32)
+        ot8 = self.traced_peak(self.BASIC_OT8, 32)
+        assert ot8 < series / 10

@@ -76,6 +76,40 @@ class TestTwoDimensional:
         assert np.array_equal(out, ref)
 
 
+class TestInputLayouts:
+    """Executors issue one ufunc call over all components, so the loop
+    order follows the input's strides; the bits must not."""
+
+    VARIANTS = [
+        Variant("series", "P>=Box", "CLO"),
+        Variant("series", "P>=Box", "CLI"),
+        Variant("overlapped", "P<Box", "CLO", tile_size=8, intra_tile="basic"),
+        Variant("overlapped", "P<Box", "CLO", tile_size=8, intra_tile="shift_fuse"),
+    ]
+
+    @staticmethod
+    def c_ordered(phi_g):
+        return np.ascontiguousarray(phi_g)
+
+    @staticmethod
+    def window(phi_g):
+        n = phi_g.shape[0]
+        big = np.full((2 * n + 1, n + 3, n + 2, 8), np.nan)
+        win = big[1::2, 2:n + 2, 1:n + 1, 2:7]
+        win[...] = phi_g
+        return win
+
+    @pytest.mark.parametrize(
+        "variant", VARIANTS, ids=["series-CLO", "series-CLI", "basic-OT8", "shift_fuse-OT8"]
+    )
+    @pytest.mark.parametrize("layout", ["c_ordered", "window"])
+    def test_bitwise_on_layout(self, variant, layout, phi_g_3d, ref_3d):
+        phi_g = getattr(self, layout)(phi_g_3d)
+        assert np.array_equal(phi_g, phi_g_3d)
+        out = make_executor(variant, dim=3, ncomp=5).run_fresh(phi_g)
+        assert np.array_equal(out, ref_3d)
+
+
 class TestRaggedTiles:
     """Tile sizes that do not divide the box exercise edge tiles."""
 
