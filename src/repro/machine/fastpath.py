@@ -46,8 +46,8 @@ _TABLE_ATTR = "_fastpath_table"
 class WorkloadTable:
     """Flat array form of a workload's distinct phases.
 
-    Groups are merged by item content per phase (the same
-    canonicalization as ``Phase.cost_key``), so "uniform" means exactly
+    Each phase contributes its ``Phase.merged_groups()`` (the
+    canonicalization behind ``Phase.cost_key``), so "uniform" means exactly
     one merged group and two phases holding the same item multiset cost
     identically regardless of insertion order.
     """
@@ -78,15 +78,7 @@ class WorkloadTable:
         uniform_phase: list[int] = []
         uniform_group: list[int] = []
         for p, phase in enumerate(phases):
-            merged: dict[tuple, list] = {}
-            for item, count in phase.groups:
-                k = item.structure_key
-                rec = merged.get(k)
-                if rec is None:
-                    merged[k] = [item, count]
-                else:
-                    rec[1] += count
-            groups = [merged[k] for k in sorted(merged)]
+            groups = phase.merged_groups()
             if len(groups) == 1:
                 uniform_phase.append(p)
                 uniform_group.append(len(g_phase))

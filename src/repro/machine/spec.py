@@ -53,6 +53,18 @@ class MachineSpec:
     barrier_base_us: float = 4.0
     barrier_per_thread_us: float = 0.25
 
+    def __post_init__(self) -> None:
+        # A zero bandwidth would leave the event-driven engine's bytes
+        # undrained forever, so out-of-range specs fail here instead.
+        for f in ("sockets", "cores_per_socket", "smt", "ghz", "l1d_kb", "l2_kb",
+                  "l3_mb_per_socket", "bw_gbs_per_socket", "flops_per_cycle",
+                  "core_bw_cap_gbs", "smt_speedup"):
+            if not getattr(self, f) > 0:
+                raise ValueError(f"{f} must be positive, got {getattr(self, f)!r}")
+        if not 0 < self.stream_fraction <= 1:
+            raise ValueError(
+                f"stream_fraction must be in (0, 1], got {self.stream_fraction!r}")
+
     # -- derived -------------------------------------------------------------------
     @property
     def cores(self) -> int:

@@ -1,5 +1,7 @@
 """Tests of machine specifications and derived quantities."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine import (
@@ -93,3 +95,44 @@ class TestDerived:
         assert MAGNY_COURS.threads_per_socket(1) == 1
         assert MAGNY_COURS.threads_per_socket(24) == 12
         assert IVY_DESKTOP.threads_per_socket(4) == 4
+
+
+class TestSpecValidation:
+    """Out-of-range specs fail in the constructor.
+
+    A zero bandwidth used to make ``simulate_workload`` spin forever
+    (the bytes never drain); only the constructor is exercised here.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stream_fraction", 0.0),
+            ("stream_fraction", 1.5),
+            ("stream_fraction", float("nan")),
+            ("bw_gbs_per_socket", 0.0),
+            ("core_bw_cap_gbs", -1.0),
+            ("sockets", 0),
+            ("cores_per_socket", 0),
+            ("smt", 0),
+            ("ghz", float("nan")),
+            ("flops_per_cycle", 0.0),
+            ("smt_speedup", 0.0),
+            ("l1d_kb", 0),
+            ("l2_kb", -256),
+            ("l3_mb_per_socket", 0.0),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(SANDY_BRIDGE, **{field: value})
+
+    def test_edges_accepted(self):
+        m = replace(SANDY_BRIDGE, stream_fraction=1.0, barrier_base_us=0.0,
+                    barrier_per_thread_us=0.0)
+        assert m.effective_bw_gbs == m.peak_bw_gbs
+        assert m.barrier_seconds(16) == 0.0
+
+    def test_paper_machines_valid(self):
+        for m in PAPER_MACHINES:
+            assert replace(m) == m
