@@ -510,13 +510,15 @@ def run_soak(
 def _overload_point(i: int, engine: str = "simulate") -> GridPoint:
     """One unique point job (distinct ncomp => distinct canonical key).
 
-    Simulate over a 192^3 domain costs milliseconds, not microseconds,
-    so the storm's injected stalls are a *tail* (10x typical), not a
-    wall-clock singularity — the goodput floor measures convergence,
-    not one stall's arithmetic.
+    Simulate over a 288^3 domain (5832 boxes of 16^3) costs about
+    10 ms on a 2-core x86 host, so the storm's 80 ms stall is a *tail*
+    (about 8x typical), not a wall-clock singularity — the goodput
+    floor measures convergence, not one stall's arithmetic.  The domain
+    sets the job cost: shrinking it, or a faster engine, makes each
+    stall a larger multiple of a job and the calibration window shorter.
     """
     return GridPoint(
-        _VARIANTS[0], MAGNY_COURS, 1, 16, (192, 192, 192),
+        _VARIANTS[0], MAGNY_COURS, 1, 16, (288, 288, 288),
         ncomp=10_000 + i, engine=engine,
     )
 
@@ -563,7 +565,7 @@ def run_overload_soak(
     labels = [f"ov{i:05d}" for i in range(duration_cases)]
 
     # The storm: every 4th job in the window stalls (latency injection
-    # — a 10x-typical tail, landing in shard children when sharded:
+    # — about an 8x-typical tail, landing in shard children when sharded:
     # the slow-shard story), and every 4th (offset 2) raises twice in
     # a row — a synchronized retry streak that drains the retry budget.
     faults: list[FaultSpec] = []
