@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .box import Box
 from .copier import ExchangeCopier, shared_copier
 from .farraybox import FArrayBox
 from .layout import DisjointBoxLayout
@@ -70,10 +69,6 @@ class LevelData:
 
     def __getitem__(self, index: int) -> FArrayBox:
         return self.fabs[index]
-
-    def valid_box(self, index: int) -> Box:
-        """The physical (ungrown) box for layout index ``index``."""
-        return self.layout.box(index)
 
     def copier(self) -> ExchangeCopier:
         """The (lazily fetched) exchange plan, shared across all

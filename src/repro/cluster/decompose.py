@@ -154,9 +154,6 @@ class RankDecomposition:
             out[self.layout.rank(i)] += weight(i)
         return out
 
-    def max_boxes_on_rank(self) -> int:
-        return max(self.boxes_per_rank())
-
     def total_boxes(self) -> int:
         return len(self.layout.boxes)
 

@@ -43,12 +43,6 @@ class RankHalo:
         """Messages sent per exchange (one aggregated per neighbor)."""
         return len(self.neighbors)
 
-    def send_bytes(self, ncomp: int, itemsize: int = 8) -> int:
-        return self.send_points * ncomp * itemsize
-
-    def recv_bytes(self, ncomp: int, itemsize: int = 8) -> int:
-        return self.recv_points * ncomp * itemsize
-
 
 @dataclass(frozen=True)
 class HaloPlan:
@@ -69,9 +63,6 @@ class HaloPlan:
     def bytes_per_exchange(self, ncomp: int, itemsize: int = 8) -> int:
         """Total bytes one exchange copies (matches the copier's figure)."""
         return self.total_points * ncomp * itemsize
-
-    def max_send_points(self) -> int:
-        return max((r.send_points for r in self.ranks), default=0)
 
     def total_messages(self) -> int:
         return sum(r.messages for r in self.ranks)

@@ -99,10 +99,6 @@ class ExemplarProblem:
             phi0.exchange()
         return phi0
 
-    def make_phi1(self) -> LevelData:
-        """Ghostless output state (zero-initialized)."""
-        return LevelData(self.layout, ncomp=self.ncomp, ghost=0)
-
     def _initial_fn(self, *grids_and_comp):
         *grids, comp = grids_and_comp
         if self.dim == 3:

@@ -44,10 +44,6 @@ class CacheStats:
     def hits(self) -> int:
         return self.accesses - self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class SetAssociativeCache:
     """A single write-back, write-allocate, LRU set-associative cache.
@@ -140,9 +136,6 @@ class SetAssociativeCache:
         stats.misses += misses
         stats.writebacks += writebacks
         return misses
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
 
     def flush(self) -> None:
         """Drop all contents (counting dirty writebacks)."""
@@ -329,10 +322,6 @@ class StackDistanceProfile:
         return (
             self.misses(capacity_bytes) + self.writebacks(capacity_bytes)
         ) * self.line_bytes
-
-    def miss_rate(self, capacity_bytes: int) -> float:
-        total = self.total_accesses
-        return self.misses(capacity_bytes) / total if total else 0.0
 
     def miss_curve(self, capacities: Sequence[int]) -> list[int]:
         """Miss counts for many capacities (one histogram, many lookups)."""

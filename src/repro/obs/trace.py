@@ -69,10 +69,6 @@ class SpanRecord:
     parent_id: str | None = None
     attrs: dict = field(default_factory=dict)
 
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.dur_ns
-
 
 @dataclass
 class EventRecord:

@@ -18,7 +18,6 @@ from .level import prepare_phi1, run_schedule_on_level
 from .overlapped import OverlappedTileExecutor
 from .series import SeriesExecutor
 from .shift_fuse import ShiftFuseExecutor, compute_velocities, fused_sweep
-from .tasks import Access, Task, TaskGraph
 from .tiling import TileGrid, wavefront_schedule_depth
 from .variants import (
     baseline_variant,
@@ -33,7 +32,6 @@ from .variants import (
 from .wavefront import BlockedWavefrontExecutor
 
 __all__ = [
-    "Access",
     "BlockedWavefrontExecutor",
     "BoxExecutor",
     "CATEGORIES",
@@ -44,8 +42,6 @@ __all__ = [
     "SeriesExecutor",
     "ShiftFuseExecutor",
     "TILE_SIZES",
-    "Task",
-    "TaskGraph",
     "TileGrid",
     "Variant",
     "baseline_variant",

@@ -1,7 +1,7 @@
 """Overload-safe serving layer for the repro workloads.
 
 ``repro.serve`` fronts the existing engines — simulate, estimate, grid
-sweeps, verify cases — with a long-running job service that *fails
+sweeps, cluster steps — with a long-running job service that *fails
 closed* under load instead of degrading unpredictably:
 
 * :mod:`repro.serve.queue` — the bounded priority queue (the only

@@ -1,8 +1,8 @@
 """Content-addressed result memoization for the serving layer.
 
-Grid points, grid sweeps, verify cases, cluster steps — every job the
-service executes is a *pure function of its config*, so identical jobs
-from different users should cost exactly one simulation.  This module
+Grid points, grid sweeps, cluster steps — every job the service
+executes is a *pure function of its config*, so identical jobs from
+different users should cost exactly one simulation.  This module
 supplies the two ingredients the service needs to make that true:
 
 * :func:`canonical_job_key` — one canonical content hash per job,
@@ -141,10 +141,10 @@ def canonical_job_key(kind_or_spec, payload=_UNSET) -> str:
     plus the *requested* engine; grid jobs on the ordered point list
     (a grid's result is an ordered list, so order is content); cluster
     jobs on the whole frozen :class:`~repro.cluster.scaling
-    .ClusterPoint`; verify jobs on the config dataclass; any other kind
-    (``tune`` and future kinds) on the canonical fragment of its
-    JSON-shaped payload.  Every key also folds in the resolved
-    process-wide engine mode (``exact`` | ``fast``).
+    .ClusterPoint`; any other kind (``tune`` and future kinds) on the
+    canonical fragment of its JSON-shaped payload.  Every key also
+    folds in the resolved process-wide engine mode (``exact`` |
+    ``fast``).
 
     Raises ``TypeError`` for payloads that are not content (objects
     with no canonical encoding) — callers treat that as "not
@@ -163,9 +163,8 @@ def canonical_job_key(kind_or_spec, payload=_UNSET) -> str:
                 [_point_frag(p, p.engine) for p in payload]
             )
         else:
-            # cluster (frozen dataclass), verify (config dataclass),
-            # tune and future kinds (JSON-shaped payloads) all encode
-            # directly.
+            # cluster (frozen dataclass), tune and future kinds
+            # (JSON-shaped payloads) all encode directly.
             frag = canonical_fragment(payload)
     except AttributeError as exc:
         raise TypeError(
@@ -197,8 +196,6 @@ def encode_result(kind: str, value) -> dict | None:
             "grid_hash": value.grid_hash,
             "sims": [sim_result_to_dict(r) for r in value],
         }
-    if kind == "verify":
-        return {"messages": [str(m) for m in value]}
     return None
 
 
@@ -211,8 +208,6 @@ def decode_result(kind: str, payload: dict):
             [sim_result_from_dict(d) for d in payload["sims"]],
             grid_hash=payload.get("grid_hash", ""),
         )
-    if kind == "verify":
-        return list(payload["messages"])
     raise KeyError(f"no decoder for memoized kind {kind!r}")
 
 
@@ -264,9 +259,6 @@ def _pack(kind: str, value) -> tuple[object, int] | None:
             return None
         sims = tuple(_pack_sim(r) for r in value)
         return (value.grid_hash, sims), sum(map(_sim_bytes, sims))
-    if kind == "verify":
-        messages = tuple(str(m) for m in value)
-        return messages, sum(map(len, messages))
     return None
 
 
@@ -274,10 +266,8 @@ def _unpack(kind: str, packed):
     """A fresh value from its packed form."""
     if kind in _POINT_KINDS:
         return _unpack_sim(packed)
-    if kind == "grid":
-        grid_hash, sims = packed
-        return GridResult([_unpack_sim(s) for s in sims], grid_hash=grid_hash)
-    return list(packed)  # verify messages
+    grid_hash, sims = packed  # grid: the only other packed kind
+    return GridResult([_unpack_sim(s) for s in sims], grid_hash=grid_hash)
 
 
 #: Live stores, for the byte-budget probe (weakly held: a dropped

@@ -1,7 +1,7 @@
 """The overload-safe job service fronting the repro workloads.
 
 :class:`JobService` is a long-running execution-control plane around
-the existing engines — simulate, estimate, grid sweeps, verify cases —
+the existing engines — simulate, estimate, grid sweeps, cluster steps —
 that *fails closed* under load (see ``docs/resilience.md``):
 
 * **Admission control** — every :meth:`JobService.submit` passes three
@@ -121,7 +121,7 @@ __all__ = [
 ]
 
 #: Work the service knows how to execute.
-JOB_KINDS = ("estimate", "simulate", "grid", "verify", "cluster")
+JOB_KINDS = ("estimate", "simulate", "grid", "cluster")
 
 #: Outcome statuses (the five accounting buckets).
 STATUSES = ("ok", "shed", "degraded", "failed", "coalesced")
@@ -1071,9 +1071,7 @@ class JobService:
             return self._execute_engine(job)
         if kind == "grid":
             return self._execute_grid(job)
-        if kind == "cluster":
-            return self._execute_cluster(job)
-        return self._execute_verify(job)
+        return self._execute_cluster(job)
 
     def _remaining_s(self, job: JobTicket) -> float | None:
         if job.deadline_at is None:
@@ -1346,23 +1344,6 @@ class JobService:
                 failures=list(gr.failures),
             )
         return JobOutcome("ok", value=gr, failures=list(gr.failures))
-
-    def _execute_verify(self, job: JobTicket) -> JobOutcome:
-        from ..verify.checks import run_check
-
-        self._check_deadline(job)
-        _faults.perturb("serve", job.seq, job.label)
-        messages = run_check(job.spec.payload)
-        if messages:
-            return JobOutcome(
-                "failed", value=messages, reason="verify_failures",
-                failures=[TaskFailure(
-                    scope="serve", index=job.seq, label=job.label,
-                    kind="exception",
-                    error=f"{len(messages)} verify failure(s): {messages[0]}",
-                )],
-            )
-        return JobOutcome("ok", value=[])
 
     # ------------------------------------------------------------- supervisor
     def _supervise_loop(self) -> None:

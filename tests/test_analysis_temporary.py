@@ -85,6 +85,29 @@ class TestExecutorConsistency:
         assert decl == make_executor(v).logical_temporaries(128)
         assert decl["velocity"] == 3 * 9**3
 
+    def test_blocked_wavefront_executor(self):
+        v = Variant("blocked_wavefront", "P<Box", "CLI", tile_size=8)
+        decl = make_executor(v).logical_temporaries(16)
+        t = table1_for_variant(v, 16)
+        assert (decl["flux"], decl["velocity"]) == (t.flux, t.velocity)
+        assert (t.flux, t.velocity) == (7680, 14739)
+
+    def test_overlapped_executor_cli(self):
+        v = Variant("overlapped", "P<Box", "CLI", tile_size=8, intra_tile="shift_fuse")
+        decl = make_executor(v).logical_temporaries(16)
+        t = table1_for_variant(v, 16)
+        assert decl["flux"] == t.flux == 730
+        # Table I prints P·C·3(T+1)³, but face velocities carry no
+        # component axis (as in the shift_fuse row), so the tile holds 3(T+1)³.
+        assert (decl["velocity"], t.velocity) == (3 * 9**3, 5 * 3 * 9**3)
+
+    @pytest.mark.parametrize("n, t", [(16, 8), (32, 8), (64, 16)])
+    def test_overlapped_redundant_face_evals(self, n, t):
+        v = Variant("overlapped", "P<Box", "CLO", tile_size=t, intra_tile="basic")
+        # Table I's recomputation: each interior tile boundary, per
+        # direction, is an N² face plane evaluated by both tiles.
+        assert make_executor(v).redundant_face_evals(n) == 3 * (n // t - 1) * n * n
+
 
 class TestRealizedFootprint:
     """The executed scratch stays where Table I puts it."""

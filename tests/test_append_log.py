@@ -69,8 +69,9 @@ MEMO_K2 = (
     b' "threads": 1, "time_s": 2.0, "variant": "v"}}}\n'
 )
 MEMO_K3 = (
-    b'{"k": "k3", "kind": "verify", "op": "put", "v": {"messages": ["ok: a",'
-    b' "ok: b"]}}\n'
+    b'{"k": "k3", "kind": "estimate", "op": "put", "v": {"sim": {"dram_bytes":'
+    b' 2.0, "flops": 1.0, "machine": "m", "phase_times": [3.0, 0.5],'
+    b' "threads": 1, "time_s": 3.0, "variant": "v"}}}\n'
 )
 MEMO_LOG = (
     MEMO_HEADER + MEMO_K1 + MEMO_K2 + MEMO_K3 + b'{"k": "k1", "op": "evict"}\n'
@@ -130,7 +131,7 @@ class TestGoldenFormats:
             s.put("k1", "estimate", sim(1))
             s.limit_bytes = s.current_bytes * 2 + 10  # two sims, not three
             s.put("k2", "simulate", sim(2))
-            s.put("k3", "verify", ["ok: a", "ok: b"])  # evicts k1
+            s.put("k3", "estimate", sim(3))  # evicts k1
             assert s.evictions == 1
             assert read(path) == MEMO_LOG
             s.rotate()
@@ -143,7 +144,7 @@ class TestGoldenFormats:
         with MemoStore(str(path)) as s:
             assert len(s) == 2 and "k1" not in s
             assert s.get("k2") == sim(2)
-            assert s.get("k3") == ["ok: a", "ok: b"]
+            assert s.get("k3") == sim(3)
         assert path.read_bytes() == literal
 
 

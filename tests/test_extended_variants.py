@@ -6,7 +6,6 @@ import pytest
 from repro.exemplar import random_initial_data, reference_kernel
 from repro.machine import MAGNY_COURS
 from repro.schedules import extended_variants, make_executor, practical_variants
-from repro.schedules.spec import schedule_spec, validate_schedule
 from repro.tuning import Autotuner
 
 
@@ -26,10 +25,6 @@ class TestExtendedPool:
                 continue
             out = make_executor(v, dim=3, ncomp=5).run_fresh(phi_g)
             assert np.array_equal(out, ref), v.label
-
-    def test_specs_legal(self):
-        for v in extended_variants():
-            validate_schedule(schedule_spec(v, dim=3))
 
     def test_autotuner_accepts_extended_pool(self):
         tuner = Autotuner(MAGNY_COURS)

@@ -427,11 +427,17 @@ _PARENT_PUT_LINES = {
         '{"dram_bytes": -0.0, "flops": 1e+22, "machine": "m", "phase_times": '
         '[NaN], "threads": 2, "time_s": 4.0, "variant": "v"}]}}\n'
     ),
-    "verify:d": (
-        '{"k": "verify:d", "kind": "verify", "op": "put", "v": {"messages": '
-        '["ok: a", "FAIL: b"]}}\n'
+    "simulate:d": (
+        '{"k": "simulate:d", "kind": "simulate", "op": "put", "v": {"sim": '
+        '{"dram_bytes": -0.0, "flops": 1e+22, "machine": "m", "phase_times": '
+        '[5e-324, -0.0, 0.25], "threads": 2, "time_s": 4.0, "variant": "v"}}}\n'
     ),
 }
+#: A put of the retired ``verify`` kind, as the parent commit wrote it.
+_PARENT_VERIFY_PUT = (
+    '{"k": "verify:d", "kind": "verify", "op": "put", "v": {"messages": '
+    '["ok: a", "FAIL: b"]}}\n'
+)
 _PARENT_LOG = (
     '{"kind": "memo-header", "version": 1}\n'
     + _PARENT_PUT_LINES["estimate:a"]
@@ -439,7 +445,7 @@ _PARENT_LOG = (
     + _PARENT_PUT_LINES["grid:c"]
     + '{"k": "estimate:a", "op": "evict"}\n'
     + '{"k": "simulate:b", "op": "evict"}\n'
-    + _PARENT_PUT_LINES["verify:d"]
+    + _PARENT_VERIFY_PUT
 )
 
 
@@ -451,7 +457,7 @@ def _log_values() -> dict:
             [timed_sim([], 3.0), timed_sim([float("nan")], 4.0)],
             grid_hash="gh",
         ),
-        "verify:d": ["ok: a", "FAIL: b"],
+        "simulate:d": timed_sim([5e-324, -0.0, 0.25], 4.0),
     }
 
 
@@ -491,7 +497,7 @@ class TestPackedEntries:
         assert store.get("simulate:k") == cold
         assert store.current_bytes < 8 * len(cold.phase_times) // 50
 
-    def test_grid_and_verify_hits_are_fresh_and_equal(self):
+    def test_grid_hits_are_fresh_and_equal(self):
         store = MemoStore()
         for key, value in _log_values().items():
             assert store.put(key, kind_of(key), value)
@@ -500,9 +506,6 @@ class TestPackedEntries:
         assert a.grid_hash == "gh" and len(a) == 2
         assert a[0] == timed_sim([], 3.0)
         assert bits(a[1].phase_times) == bits([float("nan")])
-        msgs = store.get("verify:d")
-        assert msgs == ["ok: a", "FAIL: b"]
-        assert msgs is not store.get("verify:d")
 
     def test_unpackable_result_is_skipped_not_raised(self, tmp_path):
         path = str(tmp_path / "memo.jsonl")
@@ -521,7 +524,9 @@ class TestPackedEntries:
         path.write_text(_PARENT_LOG, encoding="utf-8")
         values = _log_values()
         with MemoStore(str(path)) as store:
-            assert len(store) == 2
+            # The verify kind is retired: its put no longer decodes, so
+            # the load skips it and only the grid survives.
+            assert len(store) == 1 and "verify:d" not in store
             assert "estimate:a" not in store and "simulate:b" not in store
             grid = store.get("grid:c")
             assert [sim_result_to_dict(r) for r in grid][0] == (
@@ -529,7 +534,6 @@ class TestPackedEntries:
             )
             assert bits(grid[1].phase_times) == bits([float("nan")])
             assert grid.grid_hash == "gh"
-            assert store.get("verify:d") == values["verify:d"]
         assert path.read_text(encoding="utf-8") == _PARENT_LOG
 
     def test_put_lines_are_byte_identical_to_the_parent(self, tmp_path):

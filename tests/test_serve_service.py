@@ -9,7 +9,6 @@ is a deterministic replay.
 
 import dataclasses
 import importlib
-import random
 import time
 
 import pytest
@@ -459,17 +458,6 @@ class TestSupervision:
         assert statuses == {"shed"}
         assert blocker.result(timeout=0).status == "ok"
         assert svc.accounted()
-
-
-class TestVerifyJobs:
-    def test_verify_case_served(self):
-        from repro.verify import random_config
-
-        config = random_config(random.Random(0))
-        with quiet(), JobService(workers=1) as svc:
-            out = settle(svc, JobSpec("verify", config), timeout=120.0)
-        assert out.status == "ok"
-        assert out.value == []
 
 
 class TestCLIValidation:
